@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.machine import MachineModel
-from repro.ivf.index import IVFIndex, probe_clusters
+from repro.ivf.index import IVFIndex, check_search_args, probe_clusters
 
 
 @dataclass
@@ -34,8 +34,11 @@ class BaselineResult:
 def search_ivf_flat(
     index: IVFIndex, queries: np.ndarray, k: int, nprobe: int
 ) -> BaselineResult:
-    """Exact top-``k`` over each query's ``nprobe`` nearest clusters."""
-    queries = np.ascontiguousarray(queries, dtype=np.float32)
+    """Exact top-``k`` over each query's ``nprobe`` nearest clusters.
+
+    A bad ``queries``, ``k`` or ``nprobe`` raises ``ValueError``.
+    """
+    queries = check_search_args(queries, index.dim, k, nprobe)
     n_q = len(queries)
     probes = probe_clusters(index.centroids, queries, nprobe)
     ops = float(n_q * index.nlist * index.dim)  # centroid assignment

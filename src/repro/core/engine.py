@@ -18,9 +18,13 @@ the top-K heaps, and orchestrates the two pipelines —
   ``S² > τ²`` between stages (strict monotone test → exact w.r.t. the
   probed clusters).
 
-Each global stage runs as one Spark job over the distributed cells and is
-metered: per-node ops, bytes down (query slices + survivor sets), bytes
-up (partial sums / local top-k results), messages, transient buffers.
+In the dimension pipeline (``B_dim > 1``) each global stage runs as one
+Spark job over the distributed cells, because τ² must tighten between
+stages. On a pure vector grid (``B_dim = 1``) workers reduce to a local
+top-k and never read τ², so all ``B_vec`` rounds run as one Spark job.
+Either way every stage (a round, when ``B_dim = 1``) is metered on its
+own: per-node ops, bytes down (query slices + survivor sets), bytes up
+(partial sums / local top-k results), messages, transient buffers.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from repro.core.router import (
     dim_order,
     queries_per_vblock,
 )
-from repro.ivf.index import probe_clusters
+from repro.ivf.index import check_search_args, probe_clusters
 
 #: Bytes on the wire per survivor position (int32 row index).
 _POS_BYTES = 4
@@ -84,11 +88,12 @@ class SearchResult:
 
 
 def _stage_worker(payload_bc):
-    """Worker closure for one global pipeline stage.
+    """Worker closure for one Spark job of pipeline stages.
 
     ``payload_bc`` broadcasts ``(tasks, finalize_k)`` where ``tasks`` is
     ``{(vblock, dimblock): [(tag, qslice, [(cluster, positions)])]}``
-    (``tag`` identifies the (query, wave) the work belongs to).
+    (``tag`` identifies the stage and the (query, wave) the work belongs
+    to).
 
     * ``finalize_k is None``: nodes return partial squared-L2 sums
       ``(tag, cluster, None, partials)`` for the master to accumulate.
@@ -172,16 +177,16 @@ class HarmonyEngine:
 
         Exact within the probed clusters: pruning uses the strict
         monotone test, so results match a full scan of the same clusters.
+        A bad ``queries``, ``k`` or ``nprobe`` raises ``ValueError``.
         """
         di = self.di
         plan = di.plan
         b_vec, b_dim = plan.b_vec, plan.b_dim
         sc = di.rdd.context
-        queries = np.ascontiguousarray(queries, dtype=np.float32)
+        queries = check_search_args(queries, di.dim, k, nprobe)
         n_q = len(queries)
         sizes = di.cluster_sizes()
         metrics = ClusterMetrics(plan.n_nodes)
-        n_waves = 1 if b_dim == 1 else max(1, self.n_waves)
 
         # Client: centroid assignment (§4.2.2 step 1).
         probes = probe_clusters(di.centroids, queries, nprobe)
@@ -208,58 +213,76 @@ class HarmonyEngine:
         pairs_total = 0
         margin = 1.0 + self.prune_margin
 
-        for r in range(b_vec):  # vector pipeline rounds (Fig. 5a)
-            waves = self._build_waves(r, per_v, groups, done, sizes, n_waves)
-            if not waves:
-                continue
-            wave_pairs = {id(wv): wv.alive() for wv in waves}
-            pairs_total += sum(wave_pairs.values())
-
-            # Per-(query, wave) dimension-block orders (scheduler,
-            # §4.3). An order is fixed when the wave *starts*, so the
-            # load-aware policy sees live node loads — later work defers
-            # the overloaded node's block to its final stages, exactly
-            # the paper's dynamic reordering example (Fig. 5b, Q2/D1).
-            orders: dict[tuple[int, int], list[int]] = {}
-
-            for t in range(b_dim + n_waves - 1):  # global stages
-                active = [
-                    (wv, t - wv.w) for wv in waves if 0 <= t - wv.w < b_dim
-                ]
-                if not active:
-                    continue
-                node_loads = metrics.node_ops()
-                for wv, s in active:
-                    if (wv.q, wv.w) not in orders:
-                        orders[(wv.q, wv.w)] = dim_order(
-                            self.schedule,
-                            wv.q,
-                            b_dim,
-                            np.array(
-                                [
-                                    node_loads[plan.cell_node(wv.v, b)]
-                                    for b in range(b_dim)
-                                ]
-                            ),
-                        )
-                for wv, s in active:
-                    skipped[s] += wave_pairs[id(wv)] - wv.alive()
-                self._run_stage(
-                    f"r{r}t{t}", active, orders, queries, k,
-                    topk, metrics, margin, sc,
+        if b_dim == 1:
+            # Vector pipeline on whole-vector cells (Fig. 5a): workers
+            # reduce to a local top-k and never read τ², so the B_vec
+            # rounds do not depend on each other and share one Spark job.
+            stages = []
+            for r in range(b_vec):
+                waves = self._build_waves(r, per_v, groups, done, sizes, 1)
+                pairs_total += sum(wv.alive() for wv in waves)
+                stages.append((f"r{r}t0", [(wv, 0) for wv in waves]))
+            self._run_stage(stages, None, queries, k, topk, metrics,
+                            margin, sc)
+        else:
+            n_waves = max(1, self.n_waves)
+            for r in range(b_vec):  # vector pipeline rounds (Fig. 5a)
+                waves = self._build_waves(
+                    r, per_v, groups, done, sizes, n_waves
                 )
-                # Completed waves feed the heap → tighter τ² for the
-                # waves still in flight (the pipeline's pruning win).
-                for wv, s in active:
-                    if s == b_dim - 1:
-                        for c, pos, s2 in wv.entries:
-                            if len(pos):
-                                topk.update(
-                                    wv.q, di.cluster_ids[c][pos], s2
-                                )
-                            # mark consumed
-                        for e in wv.entries:
-                            e[1] = e[1][:0]
+                if not waves:
+                    continue
+                wave_pairs = {id(wv): wv.alive() for wv in waves}
+                pairs_total += sum(wave_pairs.values())
+
+                # Per-(query, wave) dimension-block orders (scheduler,
+                # §4.3). An order is fixed when the wave *starts*, so the
+                # load-aware policy sees live node loads — later work
+                # defers the overloaded node's block to its final stages,
+                # exactly the paper's dynamic reordering example (Fig. 5b,
+                # Q2/D1).
+                orders: dict[tuple[int, int], list[int]] = {}
+
+                for t in range(b_dim + n_waves - 1):  # global stages
+                    active = [
+                        (wv, t - wv.w)
+                        for wv in waves
+                        if 0 <= t - wv.w < b_dim
+                    ]
+                    if not active:
+                        continue
+                    node_loads = metrics.node_ops()
+                    for wv, s in active:
+                        if (wv.q, wv.w) not in orders:
+                            orders[(wv.q, wv.w)] = dim_order(
+                                self.schedule,
+                                wv.q,
+                                b_dim,
+                                np.array(
+                                    [
+                                        node_loads[plan.cell_node(wv.v, b)]
+                                        for b in range(b_dim)
+                                    ]
+                                ),
+                            )
+                    for wv, s in active:
+                        skipped[s] += wave_pairs[id(wv)] - wv.alive()
+                    # One stage per job: τ² must tighten between stages.
+                    self._run_stage(
+                        [(f"r{r}t{t}", active)], orders, queries, k,
+                        topk, metrics, margin, sc,
+                    )
+                    # Completed waves feed the heap → tighter τ² for the
+                    # waves still in flight (the pipeline's pruning win).
+                    for wv, s in active:
+                        if s == b_dim - 1:
+                            for c, pos, s2 in wv.entries:
+                                if len(pos):
+                                    topk.update(
+                                        wv.q, di.cluster_ids[c][pos], s2
+                                    )
+                            for e in wv.entries:
+                                e[1] = e[1][:0]
 
         ids, dists = topk.result()
         report = SearchReport(
@@ -305,75 +328,108 @@ class HarmonyEngine:
 
     # -----------------------------------------------------------------
     def _run_stage(
-        self, label, active, orders, queries, k, topk, metrics, margin, sc
+        self, stages, orders, queries, k, topk, metrics, margin, sc
     ) -> None:
-        """Execute one global stage as a Spark job and fold results in."""
+        """Execute pipeline stages as one Spark job and fold results in.
+
+        ``stages`` is ``[(label, active), ...]`` with ``active`` the
+        stage's ``(wave, position)`` pairs, and ``orders`` maps
+        ``(query, wave)`` to its dimension-block order (``None`` when
+        ``B_dim = 1``). The dimension pipeline passes one stage per job,
+        because τ² must tighten between stages. A ``B_dim = 1`` search
+        passes all its ``B_vec`` rounds at once: their workers reduce to
+        a local top-k and never read τ². Task tags are numbered across
+        the job's stages, so a result's tag also names its stage. Each
+        stage is still metered as its own :class:`StageRecord` and then
+        folded in, in stage order, so the results and the simulated time
+        do not depend on the grouping.
+        """
         di = self.di
         plan = di.plan
         b_dim = plan.b_dim
         payload: dict = {}
-        tag_to_wave: dict[int, tuple[_Wave, int]] = {}
-        ops = np.zeros(plan.n_nodes)
-        down = np.zeros(plan.n_nodes)
-        up = np.zeros(plan.n_nodes)
-        n_tasks = np.zeros(plan.n_nodes)
-        for tag, (wv, s) in enumerate(active):
-            b = orders[(wv.q, wv.w)][s]
-            lo, hi = plan.dim_bounds[b]
-            node = plan.cell_node(wv.v, b)
-            cl_list = [(c, pos) for c, pos, _ in wv.entries if len(pos)]
-            if not cl_list:
-                continue
-            tag_to_wave[tag] = (wv, s)
-            payload.setdefault((wv.v, b), []).append(
-                (tag, queries[wv.q, lo:hi], cl_list)
-            )
-            npairs = sum(len(p) for _, p in cl_list)
-            n_tasks[node] += 1
-            ops[node] += npairs * (hi - lo)
-            down[node] += (hi - lo) * _SCALAR_BYTES
-            if s > 0:  # survivor sets resent after pruning
-                down[node] += npairs * _POS_BYTES
-            if b_dim == 1:  # worker-local top-k reduction
-                up[node] += k * _RESULT_BYTES
-            else:
-                up[node] += npairs * _PARTIAL_BYTES
+        # Per non-empty stage: (label, tag -> (wave, position), ops,
+        # bytes down, bytes up, messages).
+        meters = []
+        tag = 0
+        for label, active in stages:
+            tag_to_wave: dict[int, tuple[_Wave, int]] = {}
+            ops = np.zeros(plan.n_nodes)
+            down = np.zeros(plan.n_nodes)
+            up = np.zeros(plan.n_nodes)
+            n_tasks = np.zeros(plan.n_nodes)
+            for wv, s in active:
+                b = 0 if orders is None else orders[(wv.q, wv.w)][s]
+                lo, hi = plan.dim_bounds[b]
+                node = plan.cell_node(wv.v, b)
+                cl_list = [(c, pos) for c, pos, _ in wv.entries if len(pos)]
+                if not cl_list:
+                    continue
+                tag_to_wave[tag] = (wv, s)
+                payload.setdefault((wv.v, b), []).append(
+                    (tag, queries[wv.q, lo:hi], cl_list)
+                )
+                tag += 1
+                npairs = sum(len(p) for _, p in cl_list)
+                n_tasks[node] += 1
+                ops[node] += npairs * (hi - lo)
+                down[node] += (hi - lo) * _SCALAR_BYTES
+                if s > 0:  # survivor sets resent after pruning
+                    down[node] += npairs * _POS_BYTES
+                if b_dim == 1:  # worker-local top-k reduction
+                    up[node] += k * _RESULT_BYTES
+                else:
+                    up[node] += npairs * _PARTIAL_BYTES
+            if tag_to_wave:
+                # One request + one response message per (query, wave)
+                # task.
+                meters.append((label, tag_to_wave, ops, down, up,
+                               2.0 * n_tasks))
         if not payload:
             return
-        # One request + one response message per (query, wave) task.
-        msgs = 2.0 * n_tasks
         finalize_k = k if b_dim == 1 else None
+        prev_desc = sc.getLocalProperty("spark.job.description")
+        sc.setJobDescription(" ".join(m[0] for m in meters))
         bc = sc.broadcast((payload, finalize_k))
         try:
             results = di.rdd.mapPartitions(_stage_worker(bc)).collect()
         finally:
             bc.unpersist()
-        metrics.record_stage(
-            label, ops, down, up, msgs, buffer_bytes=down + up
-        )
-        if b_dim == 1:
-            # Vector-partitioned round: workers returned their local
-            # top-k directly; fold it into the heaps and consume.
-            for tag, c, pos_sub, d_sub in results:
-                wv, _ = tag_to_wave[tag]
-                topk.update(wv.q, di.cluster_ids[c][pos_sub], d_sub)
-            for wv, _ in tag_to_wave.values():
-                for e in wv.entries:
-                    e[1] = e[1][:0]
-            return
-        res_map = {(tag, c): p for tag, c, _, p in results}
-        for tag, (wv, s) in tag_to_wave.items():
-            tau2 = topk.threshold(wv.q) * margin
-            do_prune = (
-                self.use_pruning and s < b_dim - 1 and np.isfinite(tau2)
+            sc.setJobDescription(prev_desc)
+        stage_of = {t: i for i, m in enumerate(meters) for t in m[1]}
+        by_stage: list[list] = [[] for _ in meters]
+        for res in results:
+            by_stage[stage_of[res[0]]].append(res)
+        for (label, tag_to_wave, ops, down, up, msgs), stage_results in zip(
+            meters, by_stage
+        ):
+            metrics.record_stage(
+                label, ops, down, up, msgs, buffer_bytes=down + up
             )
-            for e in wv.entries:
-                c, pos, s2 = e
-                if not len(pos):
-                    continue
-                s2 = s2 + res_map[(tag, c)]
-                if do_prune:
-                    keep = s2 <= tau2
-                    e[1], e[2] = pos[keep], s2[keep]
-                else:
-                    e[1], e[2] = pos, s2
+            if b_dim == 1:
+                # Vector-partitioned round: workers returned their local
+                # top-k directly; fold it into the heaps and consume.
+                for tag, c, pos_sub, d_sub in stage_results:
+                    wv, _ = tag_to_wave[tag]
+                    topk.update(wv.q, di.cluster_ids[c][pos_sub], d_sub)
+                for wv, _ in tag_to_wave.values():
+                    for e in wv.entries:
+                        e[1] = e[1][:0]
+                continue
+            res_map = {(tag, c): p for tag, c, _, p in stage_results}
+            for tag, (wv, s) in tag_to_wave.items():
+                tau2 = topk.threshold(wv.q) * margin
+                do_prune = (
+                    self.use_pruning and s < b_dim - 1
+                    and np.isfinite(tau2)
+                )
+                for e in wv.entries:
+                    c, pos, s2 = e
+                    if not len(pos):
+                        continue
+                    s2 = s2 + res_map[(tag, c)]
+                    if do_prune:
+                        keep = s2 <= tau2
+                        e[1], e[2] = pos[keep], s2[keep]
+                    else:
+                        e[1], e[2] = pos, s2

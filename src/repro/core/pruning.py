@@ -41,10 +41,9 @@ class TopK:
         first = np.ones(len(all_ids), dtype=bool)
         first[1:] = all_ids[1:] != all_ids[:-1]
         all_ids, all_d = all_ids[first], all_d[first]
-        if len(all_ids) > self.k:
-            part = np.argpartition(all_d, self.k - 1)[: self.k]
-            all_ids, all_d = all_ids[part], all_d[part]
-        keep = np.argsort(all_d, kind="stable")
+        # Keep the k best by (distance, id): ties are cut by id, so the
+        # kept ids do not depend on the order candidates arrived in.
+        keep = np.lexsort((all_ids, all_d))[: self.k]
         self._ids[q] = all_ids[keep]
         self._dists[q] = all_d[keep]
 
@@ -54,12 +53,6 @@ class TopK:
         if len(self._dists[q]) < self.k:
             return np.inf
         return float(self._dists[q][-1])
-
-    def thresholds(self) -> np.ndarray:
-        """All per-query thresholds as one array."""
-        return np.array(
-            [self.threshold(q) for q in range(len(self._ids))]
-        )
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:
         """Final ``(ids, dists)`` arrays of shape ``(Q, k)``, distance-

@@ -6,7 +6,7 @@ in exactly one place and builds are reused across experiments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -178,8 +178,3 @@ def qps(
 ) -> float:
     """Queries per second given simulated elapsed seconds."""
     return n_queries / seconds if seconds > 0 else float("inf")
-
-
-def shrink(cfg: ExperimentConfig, factor: float) -> ExperimentConfig:
-    """A config scaled down by ``factor`` (used by unit tests)."""
-    return replace(cfg, sf=cfg.sf * factor)

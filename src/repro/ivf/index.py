@@ -86,6 +86,32 @@ def assign_clusters(centroids: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_search_args(
+    queries: np.ndarray, dim: int, k: int, nprobe: int
+) -> np.ndarray:
+    """``queries`` as a C-contiguous float32 ``(Q, dim)`` array, after
+    checking every search argument; a bad one raises ``ValueError``
+    naming it."""
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    if nprobe <= 0:
+        raise ValueError(f"nprobe must be positive, got {nprobe}")
+    queries = np.ascontiguousarray(queries, dtype=np.float32)
+    if queries.ndim != 2:
+        raise ValueError(
+            f"queries must be a 2-D (n_queries, {dim}) array, got shape "
+            f"{queries.shape}"
+        )
+    if queries.shape[1] != dim:
+        raise ValueError(
+            f"queries have dimension {queries.shape[1]}; the index has "
+            f"{dim}"
+        )
+    if not np.isfinite(queries).all():
+        raise ValueError("queries contain NaN or inf values")
+    return queries
+
+
 def probe_clusters(
     centroids: np.ndarray, queries: np.ndarray, nprobe: int
 ) -> np.ndarray:

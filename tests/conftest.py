@@ -60,3 +60,26 @@ def baseline_ref(ds):
 def assert_same_distances(dists, ref_dists, rtol=1e-4, atol=1e-4):
     """Distance-level equality between two (Q, k) result sets."""
     np.testing.assert_allclose(dists, ref_dists, rtol=rtol, atol=atol)
+
+
+#: Search arguments every entry point must reject with a ValueError.
+BAD_SEARCH_CASES = ("k=0", "k<0", "nprobe=0", "1-D", "wrong-dim", "NaN",
+                    "inf")
+
+
+def bad_search_kwargs(q, case):
+    """``(kwargs, name)``: the search keyword arguments of ``case`` (one
+    of BAD_SEARCH_CASES) built from valid queries ``q``, and the argument
+    its ValueError must name."""
+    nan, inf = q.copy(), q.copy()
+    nan[0, 0] = np.nan
+    inf[-1, -1] = np.inf
+    return {
+        "k=0": ({"k": 0}, "k"),
+        "k<0": ({"k": -1}, "k"),
+        "nprobe=0": ({"nprobe": 0}, "nprobe"),
+        "1-D": ({"queries": q[0]}, "queries"),
+        "wrong-dim": ({"queries": q[:, :-1]}, "queries"),
+        "NaN": ({"queries": nan}, "queries"),
+        "inf": ({"queries": inf}, "queries"),
+    }[case]

@@ -8,6 +8,7 @@ from repro.cluster.machine import MachineModel
 from repro.ivf.index import build_ivf
 from repro.vectors.generate import base_numpy, queries_numpy
 from repro.vectors.specs import get_spec
+from tests.conftest import BAD_SEARCH_CASES, bad_search_kwargs
 
 SPEC = get_spec("sift1m")
 
@@ -107,3 +108,12 @@ def test_result_ids_within_probed_clusters(setup):
             np.concatenate([ivf.cluster_ids[c] for c in probes[i]])
         )
         assert set(res.ids[i][res.ids[i] >= 0]) <= allowed
+
+
+@pytest.mark.parametrize("case", BAD_SEARCH_CASES)
+def test_search_ivf_flat_rejects_bad_input(setup, case):
+    _, q, ivf = setup
+    kwargs, name = bad_search_kwargs(q, case)
+    args = {"queries": q, "k": 3, "nprobe": 2, **kwargs}
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        search_ivf_flat(ivf, **args)

@@ -1,10 +1,18 @@
 """Pipelined engine (Algorithm 1): exactness, pruning, metering."""
+import uuid
+
 import numpy as np
 import pytest
 
 from repro.baseline.faiss_lite import search_ivf_flat
 from repro.cluster.machine import MachineModel
-from tests.conftest import TEST_K, TEST_NPROBE, assert_same_distances
+from tests.conftest import (
+    BAD_SEARCH_CASES,
+    TEST_K,
+    TEST_NPROBE,
+    assert_same_distances,
+    bad_search_kwargs,
+)
 
 
 @pytest.mark.parametrize("mode", ["harmony", "vector", "dimension"])
@@ -170,3 +178,61 @@ def test_search_is_deterministic(built, ds):
 def test_single_query(built, ds, baseline_ref):
     res = built["harmony"].search(ds["q"][:1], k=TEST_K, nprobe=TEST_NPROBE)
     assert_same_distances(res.dists, baseline_ref.dists[:1])
+
+
+@pytest.mark.parametrize("case", BAD_SEARCH_CASES)
+def test_search_rejects_bad_input(built, ds, case):
+    kwargs, name = bad_search_kwargs(ds["q"], case)
+    args = {"queries": ds["q"], "k": TEST_K, "nprobe": TEST_NPROBE,
+            **kwargs}
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        built["harmony"].search(**args)
+
+
+def _search_counting_jobs(searcher, q):
+    """``(result, Spark jobs run)`` of one search in a fresh job group."""
+    sc = searcher.di.rdd.context
+    group = f"test-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, group)
+    try:
+        res = searcher.search(q, k=TEST_K, nprobe=TEST_NPROBE)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    return res, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def test_vector_mode_runs_all_rounds_as_one_job(built, ds):
+    # B_dim = 1: workers never read τ², so the B_vec rounds share one
+    # Spark job, yet each round is still metered as its own stage.
+    s = built["vector"]
+    res, jobs = _search_counting_jobs(s, ds["q"])
+    assert jobs == 1
+    b_vec = s.di.plan.b_vec
+    assert b_vec == 4
+    labels = [st.label for st in res.report.metrics.stages]
+    assert labels == [f"r{r}t0" for r in range(b_vec)]
+
+
+def test_dimension_mode_runs_one_job_per_global_stage(built, ds):
+    s = built["dimension"]
+    _, jobs = _search_counting_jobs(s, ds["q"])
+    assert jobs == s.di.plan.b_dim + s.engine.n_waves - 1
+
+
+@pytest.mark.parametrize("mode", ["vector", "dimension"])
+def test_spark_jobs_carry_stage_labels(built, ds, mode, monkeypatch):
+    rdd = built[mode].di.rdd
+    before = rdd.context.getLocalProperty("spark.job.description")
+    seen = []
+    submit = rdd.mapPartitions
+
+    def spy(*args, **kwargs):
+        seen.append(rdd.context.getLocalProperty("spark.job.description"))
+        return submit(*args, **kwargs)
+
+    monkeypatch.setattr(rdd, "mapPartitions", spy)
+    res = built[mode].search(ds["q"], k=TEST_K, nprobe=TEST_NPROBE)
+    labels = [st.label for st in res.report.metrics.stages]
+    assert seen == ([" ".join(labels)] if mode == "vector" else labels)
+    assert rdd.context.getLocalProperty("spark.job.description") == before

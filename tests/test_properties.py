@@ -95,3 +95,30 @@ def test_pairwise_sq_l2_symmetric_psd(rows):
     d = pairwise_sq_l2(a, a)
     assert d.min() >= 0
     np.testing.assert_allclose(d, d.T, rtol=1e-3, atol=1e-2)
+
+
+@given(
+    st.lists(st.integers(0, 3), min_size=2, max_size=40),
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60)
+def test_topk_ids_independent_of_arrival_order(levels, k, n_calls, rnd):
+    # Tie stability: candidates tied on distance must yield the same ids
+    # whatever order (and however split into updates) they arrive in.
+    ids = np.arange(len(levels))
+    dists = np.asarray(levels, dtype=np.float64)
+
+    def run(order):
+        t = TopK(1, k)
+        for part in np.array_split(order, n_calls):
+            t.update(0, ids[part], dists[part])
+        return t.result()
+
+    want_ids, want_d = run(ids)
+    perm = ids.copy()
+    rnd.shuffle(perm)
+    got_ids, got_d = run(perm)
+    np.testing.assert_array_equal(got_ids, want_ids)
+    np.testing.assert_array_equal(got_d, want_d)

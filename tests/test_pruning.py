@@ -61,13 +61,6 @@ def test_queries_independent():
     assert t.threshold(1) == 2.0
 
 
-def test_thresholds_vector():
-    t = TopK(3, 1)
-    t.update(1, np.array([0]), np.array([5.0]))
-    th = t.thresholds()
-    assert th[0] == np.inf and th[1] == 5.0 and th[2] == np.inf
-
-
 def test_empty_update_noop():
     t = TopK(1, 2)
     t.update(0, np.empty(0, dtype=np.int64), np.empty(0))
