@@ -5,8 +5,9 @@ One simulated worker node = one Spark RDD partition. Grid cell ``(v, b)``
 ``plan.cell_node(v, b)`` by a **custom partitioner** over cell keys —
 the Spark analog of Harmony assigning index blocks to MPI ranks. Each
 partition materializes a :class:`CellStore` holding its clusters' vector
-rows restricted to its dimension block; the driver keeps the client-side
-routing table (centroids, per-cluster id lists, prewarm sample).
+rows restricted to its dimension block, as one contiguous matrix; the
+driver keeps the client-side routing table (centroids, per-cluster id
+lists, prewarm sample).
 """
 from __future__ import annotations
 
@@ -32,18 +33,33 @@ ACCUM_BYTES_PER_VECTOR = 12
 class CellStore:
     """One grid cell's storage on its worker node.
 
-    ``clusters[c]`` is the ``(size_c, block_dims)`` float32 matrix of
-    cluster ``c``'s vectors restricted to this cell's dimension block,
-    rows sorted by ascending vector id (the canonical order shared with
-    the driver's routing table, so row positions line up)."""
+    ``mat`` is one contiguous ``(rows, block_dims)`` float32 matrix of the
+    cell's vectors restricted to its dimension block. It holds the
+    clusters ``cluster_list`` in ascending order, cluster
+    ``cluster_list[i]`` at rows ``offsets[i]:offsets[i + 1]``, and each
+    cluster's rows sorted by ascending vector id (the canonical order
+    shared with the driver's routing table, so row positions line up).
+    ``clusters[c]`` is cluster ``c``'s view into ``mat``."""
 
     vblock: int
     dimblock: int
-    clusters: dict[int, np.ndarray] = field(repr=False)
+    mat: np.ndarray = field(repr=False)
+    cluster_list: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+
+    @property
+    def clusters(self) -> dict[int, np.ndarray]:
+        """``{cluster: (size_c, block_dims) view into mat}``."""
+        return {
+            int(c): self.mat[a:b]
+            for c, a, b in zip(
+                self.cluster_list, self.offsets[:-1], self.offsets[1:]
+            )
+        }
 
     def nbytes(self) -> int:
         """Bytes of vector data stored in this cell."""
-        return int(sum(m.nbytes for m in self.clusters.values()))
+        return int(self.mat.nbytes)
 
 
 @dataclass
@@ -74,6 +90,23 @@ class DistributedIndex:
     def cluster_sizes(self) -> np.ndarray:
         """Per-cluster vector counts."""
         return np.array([len(i) for i in self.cluster_ids])
+
+    def shard_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row0, base, ids)``: where each cluster's rows sit.
+
+        Every cell of vector shard ``v`` stores the shard's clusters in
+        ascending order (see :class:`CellStore`), so cluster ``c`` is rows
+        ``row0[c]:row0[c] + size_c`` of them. ``ids[base[v] + row]`` is
+        the vector id of row ``row`` of shard ``v``."""
+        c2v = np.asarray(self.plan.cluster_to_vblock)
+        sizes = self.cluster_sizes()
+        order = np.lexsort((np.arange(self.nlist), c2v))
+        row = np.empty(self.nlist, dtype=np.int64)
+        row[order] = np.cumsum(sizes[order]) - sizes[order]
+        shard = np.bincount(c2v, weights=sizes, minlength=self.plan.b_vec)
+        base = (np.cumsum(shard) - shard).astype(np.int64)
+        ids = np.concatenate([self.cluster_ids[c] for c in order])
+        return row - base[c2v], base, ids
 
     def node_accumulator_bytes(self) -> np.ndarray:
         """Pre-allocated partial-result buffer per node (0 when
@@ -221,13 +254,16 @@ def distribute(
                 (ids_a, mat)
             )
         for (v, b), per_cluster in chunks.items():
-            clusters = {}
-            for c, parts in per_cluster.items():
+            cluster_list = np.array(sorted(per_cluster), dtype=np.int64)
+            mats = []
+            for c in cluster_list:
+                parts = per_cluster[int(c)]
                 ids_a = np.concatenate([p[0] for p in parts])
                 mat = np.concatenate([p[1] for p in parts], axis=0)
-                order = np.argsort(ids_a)  # canonical id-ascending rows
-                clusters[c] = np.ascontiguousarray(mat[order])
-            yield CellStore(v, b, clusters)
+                mats.append(mat[np.argsort(ids_a)])  # id-ascending rows
+            offsets = np.cumsum([0] + [len(m) for m in mats])
+            yield CellStore(v, b, np.concatenate(mats, axis=0),
+                            cluster_list, offsets)
 
     rdd = (
         assigned.rdd.mapPartitions(to_slices)

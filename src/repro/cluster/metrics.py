@@ -26,6 +26,13 @@ class StageRecord:
     bytes_up: np.ndarray  # node -> client (partial sums, results)
     msgs: np.ndarray
 
+    def to_dict(self) -> dict:
+        """JSON-safe copy: the label and per-node lists."""
+        return {"label": self.label, "ops": self.ops.tolist(),
+                "bytes_down": self.bytes_down.tolist(),
+                "bytes_up": self.bytes_up.tolist(),
+                "msgs": self.msgs.tolist()}
+
     def comp_seconds(self, model: MachineModel) -> float:
         """Stage compute span: the slowest node's compute time."""
         return model.comp_time(float(self.ops.max(initial=0.0)))

@@ -18,29 +18,31 @@ the top-K heaps, and orchestrates the two pipelines —
   ``S² > τ²`` between stages (strict monotone test → exact w.r.t. the
   probed clusters).
 
-In the dimension pipeline (``B_dim > 1``) each global stage runs as one
-Spark job over the distributed cells, because τ² must tighten between
-stages. On a pure vector grid (``B_dim = 1``) workers reduce to a local
-top-k and never read τ², so all ``B_vec`` rounds run as one Spark job.
-Either way every stage (a round, when ``B_dim = 1``) is metered on its
-own: per-node ops, bytes down (query slices + survivor sets), bytes up
-(partial sums / local top-k results), messages, transient buffers.
+Data path: a round is flat arrays. A *task* is one (query, wave); tasks
+are ordered by wave, then query, and each is a run of segments
+``(row0, len)`` into its shard's contiguous cell rows (:class:`CellStore`).
+Per candidate the driver keeps only ``alive`` and ``S²``. The tasks of a
+global stage are one contiguous slice, sent as a task table, segments and
+packed ``alive`` bits (:func:`_scan_worker`). One Spark job runs each
+global stage when ``B_dim > 1`` (τ² must tighten between stages), and all
+``B_vec`` rounds when ``B_dim = 1`` (workers cut to a local top-k and
+never read τ²). Every stage (a round, when ``B_dim = 1``) is metered on
+its own: per-node ops, bytes down (query slices + survivor sets), bytes
+up (partial sums / local top-k results), messages, transient buffers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.cluster.layout import DistributedIndex
 from repro.cluster.machine import MachineModel
 from repro.cluster.metrics import ClusterMetrics
-from repro.core.pruning import TopK
-from repro.core.router import (
-    assign_query_groups,
-    dim_order,
-    queries_per_vblock,
-)
+from repro.core.pruning import TopK, prune_mask
+from repro.core.router import (assign_query_groups, dim_order,
+                               queries_per_vblock)
 from repro.ivf.index import check_search_args, probe_clusters
 
 #: Bytes on the wire per survivor position (int32 row index).
@@ -51,6 +53,10 @@ _PARTIAL_BYTES = 8
 _SCALAR_BYTES = 4
 #: Bytes per (id, distance) result entry of a worker-local top-k.
 _RESULT_BYTES = 12
+#: Candidates the driver folds or finishes per chunk (bounds temporaries).
+_CHUNK = 1 << 15
+#: Rows a worker gathers per chunk (keeps its temporaries in cache).
+_SCAN_ROWS = 1024
 
 
 @dataclass
@@ -76,6 +82,19 @@ class SearchReport:
         """Simulated elapsed seconds under ``model``."""
         return self.metrics.simulated_seconds(model)
 
+    def to_dict(self) -> dict:
+        """JSON-safe summary: totals, per-position skips and every
+        stage's per-node ops, bytes down, bytes up and messages."""
+        m = self.metrics
+        return {
+            "pairs_total": int(self.pairs_total),
+            "skipped_at_position": self.skipped_at_position.tolist(),
+            "b_dim": int(self.b_dim),
+            "client_ops": float(m.client_ops),
+            "peak_buffer_bytes": m.peak_buffer_bytes.tolist(),
+            "stages": [st.to_dict() for st in m.stages],
+        }
+
 
 @dataclass
 class SearchResult:
@@ -87,65 +106,92 @@ class SearchResult:
     report: SearchReport
 
 
-def _stage_worker(payload_bc):
+@dataclass
+class _Round:
+    """One vector-pipeline round as flat arrays. Per task: query, shard,
+    wave, block ``order`` by position, and (one longer) ``first`` candidate
+    and segment ``seg0``. ``segs`` is ``(n_segs, 2)`` int32 ``(row0, len)``;
+    ``rows`` is :meth:`DistributedIndex.shard_rows`."""
+
+    q: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    order: np.ndarray
+    first: np.ndarray
+    seg0: np.ndarray
+    segs: np.ndarray
+    rows: tuple
+    alive: np.ndarray
+    s2: np.ndarray
+
+
+def _expand(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lens)])``."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
+
+
+def _chunks(first: np.ndarray, ta: int, tb: int):
+    """Task ranges ``(i, j)`` covering tasks ``[ta, tb)`` with about
+    ``_CHUNK`` candidates each (task ``i`` starts at ``first[i]``)."""
+    cut = np.searchsorted(first, np.arange(first[ta], first[tb], _CHUNK))
+    edges = np.unique(np.append(cut, tb))
+    return zip(edges[:-1], edges[1:])
+
+
+def _scan_worker(payload_bc):
     """Worker closure for one Spark job of pipeline stages.
 
-    ``payload_bc`` broadcasts ``(tasks, finalize_k)`` where ``tasks`` is
-    ``{(vblock, dimblock): [(tag, qslice, [(cluster, positions)])]}``
-    (``tag`` identifies the stage and the (query, wave) the work belongs
-    to).
+    ``payload_bc`` broadcasts ``(stages, queries, bounds, b_dim,
+    finalize_k)``; a stage is ``(tasks, segs, bits)``: per task (cell
+    node, query, segment count), the segments and ``np.packbits`` of the
+    ``alive`` flags. A worker computes the squared L2 over its block of its
+    tasks' live candidates: ``mat.take(rows) - q.take(task)``, square,
+    ``sum(axis=1)``, in chunks. It returns ``(stage, node, keep, d)``:
 
-    * ``finalize_k is None``: nodes return partial squared-L2 sums
-      ``(tag, cluster, None, partials)`` for the master to accumulate.
-    * ``finalize_k = k`` (full-dimension cells, ``B_dim = 1``): the node
-      holds whole vectors, so — like a real Harmony-vector worker — it
-      reduces to its *local top-k* per task and ships only ``k`` results
-      ``(tag, cluster, positions_subset, dists_subset)``.
+    * ``finalize_k is None``: ``keep`` is None and ``d`` holds the float32
+      partial sums of the live candidates, in stage order;
+    * ``finalize_k = k`` (whole-vector cells, ``B_dim = 1``): each task is
+      cut to its local top-k (ties kept), like a real Harmony-vector
+      worker; ``keep`` holds the kept candidates' stage offsets.
     """
 
     def fn(cells):
         out = []
-        tasks_by_cell, finalize_k = payload_bc.value
+        stages, queries, bounds, b_dim, finalize_k = payload_bc.value
         for cell in cells:
-            tasks = tasks_by_cell.get((cell.vblock, cell.dimblock))
-            if not tasks:
-                continue
-            for tag, qslice, cl_list in tasks:
-                per_t = []
-                for c, pos in cl_list:
-                    mat = cell.clusters.get(int(c))
-                    if mat is None or len(pos) == 0:
-                        continue
-                    diff = mat[pos] - qslice
-                    d = (diff * diff).sum(axis=1).astype(np.float64)
-                    per_t.append((int(c), pos, d))
+            node = cell.vblock * b_dim + cell.dimblock
+            lo, hi = bounds[cell.dimblock]
+            qblock = np.ascontiguousarray(queries[:, lo:hi])
+            for i, (tasks, segs, bits) in enumerate(stages):
+                seg_task = np.repeat(np.arange(len(tasks)), tasks[:, 2])
+                mine = tasks[seg_task, 0] == node
+                lens = segs[:, 1].astype(np.int64)
+                cand = _expand(np.cumsum(lens)[mine] - lens[mine], lens[mine])
+                live = np.unpackbits(bits).view(bool)[cand]
+                if not live.any():
+                    continue
+                cand = cand[live]
+                rows = _expand(segs[mine, 0], lens[mine])[live]
+                task = np.repeat(seg_task[mine], lens[mine])[live]
+                d = np.empty(len(cand), dtype=np.float32)
+                for a in range(0, len(cand), _SCAN_ROWS):
+                    sl = slice(a, a + _SCAN_ROWS)
+                    diff = (cell.mat.take(rows[sl], axis=0)
+                            - qblock.take(tasks[task[sl], 1], axis=0))
+                    d[sl] = (diff * diff).sum(axis=1)
                 if finalize_k is None:
-                    out.extend((tag, c, None, d) for c, _, d in per_t)
-                elif per_t:
-                    all_d = np.concatenate([d for _, _, d in per_t])
-                    kk = min(finalize_k, len(all_d))
-                    cut = np.partition(all_d, kk - 1)[kk - 1]
-                    for c, pos, d in per_t:
-                        keep = d <= cut
-                        out.append((tag, c, pos[keep], d[keep]))
+                    out.append((i, node, None, d))
+                    continue
+                keep = []
+                for part in np.split(d, np.flatnonzero(np.diff(task)) + 1):
+                    kk = min(finalize_k, len(part)) - 1
+                    keep.append(part <= np.partition(part, kk)[kk])
+                keep = np.concatenate(keep)
+                out.append((i, node, cand[keep], d[keep]))
         return out
 
     return fn
-
-
-class _Wave:
-    """One staggered candidate wave of one query within a round."""
-
-    __slots__ = ("q", "v", "w", "entries")
-
-    def __init__(self, q: int, v: int, w: int, entries: list):
-        self.q = q  # query id
-        self.v = v  # vector shard of this round
-        self.w = w  # wave index (stagger offset)
-        self.entries = entries  # [[cluster, positions, S²], ...]
-
-    def alive(self) -> int:
-        return sum(len(e[1]) for e in self.entries)
 
 
 class HarmonyEngine:
@@ -179,13 +225,10 @@ class HarmonyEngine:
         monotone test, so results match a full scan of the same clusters.
         A bad ``queries``, ``k`` or ``nprobe`` raises ``ValueError``.
         """
-        di = self.di
-        plan = di.plan
+        di, plan = self.di, self.di.plan
         b_vec, b_dim = plan.b_vec, plan.b_dim
-        sc = di.rdd.context
         queries = check_search_args(queries, di.dim, k, nprobe)
         n_q = len(queries)
-        sizes = di.cluster_sizes()
         metrics = ClusterMetrics(plan.n_nodes)
 
         # Client: centroid assignment (§4.2.2 step 1).
@@ -195,7 +238,7 @@ class HarmonyEngine:
         # Prewarm (Alg. 1 lines 1-5): score each query's nearest-cluster
         # sample on the client to seed the heap / initial τ².
         topk = TopK(n_q, k)
-        done: dict[tuple[int, int], int] = {}
+        scanned = np.zeros(n_q, dtype=np.int64)  # prewarmed prefix rows
         for q in range(n_q):
             c0 = int(probes[q, 0])
             pw = di.prewarm_rows.get(c0)
@@ -204,232 +247,188 @@ class HarmonyEngine:
             diff = pw - queries[q]
             d = (diff * diff).sum(axis=1).astype(np.float64)
             topk.update(q, di.cluster_ids[c0][: len(pw)], d)
-            done[(q, c0)] = len(pw)
+            scanned[q] = len(pw)
             metrics.client_ops += len(pw) * di.dim
 
-        per_v = queries_per_vblock(plan, probes)
-        groups = assign_query_groups(n_q, b_vec)
+        # Vector pipeline rounds (Fig. 5a).
+        args = (queries_per_vblock(plan, probes),
+                assign_query_groups(n_q, b_vec), probes, scanned,
+                di.shard_rows(), max(1, self.n_waves) if b_dim > 1 else 1)
+        rounds = [(r, rd) for r in range(b_vec)
+                  if (rd := self._layout(r, *args)) is not None]
         skipped = np.zeros(b_dim)
-        pairs_total = 0
-        margin = 1.0 + self.prune_margin
-
+        run = partial(self._run_stage, queries=queries, k=k, topk=topk,
+                      metrics=metrics, skipped=skipped)
         if b_dim == 1:
-            # Vector pipeline on whole-vector cells (Fig. 5a): workers
-            # reduce to a local top-k and never read τ², so the B_vec
-            # rounds do not depend on each other and share one Spark job.
-            stages = []
-            for r in range(b_vec):
-                waves = self._build_waves(r, per_v, groups, done, sizes, 1)
-                pairs_total += sum(wv.alive() for wv in waves)
-                stages.append((f"r{r}t0", [(wv, 0) for wv in waves]))
-            self._run_stage(stages, None, queries, k, topk, metrics,
-                            margin, sc)
-        else:
-            n_waves = max(1, self.n_waves)
-            for r in range(b_vec):  # vector pipeline rounds (Fig. 5a)
-                waves = self._build_waves(
-                    r, per_v, groups, done, sizes, n_waves
-                )
-                if not waves:
-                    continue
-                wave_pairs = {id(wv): wv.alive() for wv in waves}
-                pairs_total += sum(wave_pairs.values())
+            # Whole-vector cells: workers reduce to a local top-k and
+            # never read τ², so the rounds share one Spark job.
+            run([(f"r{r}t0", rd, 0) for r, rd in rounds])
+        for r, rd in rounds if b_dim > 1 else ():
+            for t in range(b_dim + int(rd.w[-1])):  # global stages
+                # A task's dimension-block order (scheduler, §4.3) is fixed
+                # when its wave *starts*, so the load-aware policy sees live
+                # node loads (the paper's dynamic reordering, Fig. 5b).
+                loads = metrics.node_ops()
+                for i in range(*np.searchsorted(rd.w, [t, t + 1])):
+                    shard = loads[rd.v[i] * b_dim:(rd.v[i] + 1) * b_dim]
+                    rd.order[i] = dim_order(self.schedule, int(rd.q[i]),
+                                            b_dim, shard)
+                # One stage per job: τ² must tighten between stages.
+                run([(f"r{r}t{t}", rd, t)])
 
-                # Per-(query, wave) dimension-block orders (scheduler,
-                # §4.3). An order is fixed when the wave *starts*, so the
-                # load-aware policy sees live node loads — later work
-                # defers the overloaded node's block to its final stages,
-                # exactly the paper's dynamic reordering example (Fig. 5b,
-                # Q2/D1).
-                orders: dict[tuple[int, int], list[int]] = {}
-
-                for t in range(b_dim + n_waves - 1):  # global stages
-                    active = [
-                        (wv, t - wv.w)
-                        for wv in waves
-                        if 0 <= t - wv.w < b_dim
-                    ]
-                    if not active:
-                        continue
-                    node_loads = metrics.node_ops()
-                    for wv, s in active:
-                        if (wv.q, wv.w) not in orders:
-                            orders[(wv.q, wv.w)] = dim_order(
-                                self.schedule,
-                                wv.q,
-                                b_dim,
-                                np.array(
-                                    [
-                                        node_loads[plan.cell_node(wv.v, b)]
-                                        for b in range(b_dim)
-                                    ]
-                                ),
-                            )
-                    for wv, s in active:
-                        skipped[s] += wave_pairs[id(wv)] - wv.alive()
-                    # One stage per job: τ² must tighten between stages.
-                    self._run_stage(
-                        [(f"r{r}t{t}", active)], orders, queries, k,
-                        topk, metrics, margin, sc,
-                    )
-                    # Completed waves feed the heap → tighter τ² for the
-                    # waves still in flight (the pipeline's pruning win).
-                    for wv, s in active:
-                        if s == b_dim - 1:
-                            for c, pos, s2 in wv.entries:
-                                if len(pos):
-                                    topk.update(
-                                        wv.q, di.cluster_ids[c][pos], s2
-                                    )
-                            for e in wv.entries:
-                                e[1] = e[1][:0]
-
-        ids, dists = topk.result()
-        report = SearchReport(
-            metrics=metrics,
-            pairs_total=pairs_total,
-            skipped_at_position=skipped,
-            b_dim=b_dim,
-        )
-        return SearchResult(ids=ids, dists=dists, report=report)
+        pairs_total = sum(len(rd.alive) for _, rd in rounds)
+        report = SearchReport(metrics, pairs_total, skipped, b_dim)
+        return SearchResult(*topk.result(), report)
 
     # -----------------------------------------------------------------
-    def _build_waves(
-        self, r, per_v, groups, done, sizes, n_waves
-    ) -> list[_Wave]:
-        """Candidate waves for round ``r``: group ``g`` visits shard
-        ``(g+r) mod B_vec``; each query's candidate rows are split into
-        ``n_waves`` contiguous chunks (stagger offsets 0..n_waves-1)."""
+    def _layout(
+        self, r, per_v, groups, probes, scanned, rows, n_waves
+    ) -> _Round | None:
+        """Round ``r`` as flat arrays, or None when it has no candidates.
+
+        Group ``g`` visits shard ``(g+r) mod B_vec``. Each probed cluster's
+        rows (after the prewarmed prefix) are cut into ``n_waves`` chunks of
+        ``np.array_split``'s sizes (the first ``n % n_waves`` one row
+        longer); chunk ``w`` is a segment of task (query, wave ``w``)."""
         plan = self.di.plan
-        waves: list[_Wave] = []
-        for g in range(plan.b_vec):
-            v = (g + r) % plan.b_vec
-            for q in np.nonzero(groups == g)[0]:
-                cl = per_v[v].get(int(q))
-                if cl is None:
-                    continue
-                per_wave: list[list] = [[] for _ in range(n_waves)]
-                for c in cl:
-                    start = done.get((int(q), int(c)), 0)
-                    if sizes[c] <= start:
-                        continue
-                    pos = np.arange(start, sizes[c], dtype=np.int64)
-                    for w, chunk in enumerate(
-                        np.array_split(pos, n_waves)
-                    ):
-                        if len(chunk):
-                            per_wave[w].append(
-                                [int(c), chunk, np.zeros(len(chunk))]
-                            )
-                for w, entries in enumerate(per_wave):
-                    if entries:
-                        waves.append(_Wave(int(q), v, w, entries))
-        return waves
+        cl = [per_v[(groups[q] + r) % plan.b_vec].get(q, ())
+              for q in range(len(probes))]
+        q = np.repeat(np.arange(len(probes)), [len(x) for x in cl])
+        c = np.concatenate([(), *cl]).astype(np.int64)
+        start = np.where(c == probes[q, 0], scanned[q], 0)
+        size, extra = np.divmod(self.di.cluster_sizes()[c] - start, n_waves)
+        parts = []
+        for w in range(n_waves):
+            n = size + (w < extra)
+            m = n > 0
+            row = rows[0][c[m]] + start[m] + w * size[m]
+            parts.append((np.full(m.sum(), w), q[m],
+                          row + np.minimum(w, extra[m]), n[m]))
+        seg_w, seg_q, seg_row, seg_len = map(np.concatenate, zip(*parts))
+        if not len(seg_q):
+            return None  # no rows left to scan
+        new = np.ones(len(seg_q), dtype=bool)
+        new[1:] = (seg_q[1:] != seg_q[:-1]) | (seg_w[1:] != seg_w[:-1])
+        seg0 = np.append(np.flatnonzero(new), len(seg_q))
+        first = np.append(0, np.cumsum(seg_len))
+        return _Round(
+            q=seg_q[seg0[:-1]], v=(groups[seg_q[seg0[:-1]]] + r) % plan.b_vec,
+            w=seg_w[seg0[:-1]], first=first[seg0], seg0=seg0,
+            order=np.zeros((len(seg0) - 1, plan.b_dim), dtype=np.int64),
+            segs=np.stack([seg_row, seg_len], axis=1).astype(np.int32),
+            rows=rows,
+            alive=np.ones(first[-1], dtype=bool), s2=np.zeros(first[-1]),
+        )
 
     # -----------------------------------------------------------------
-    def _run_stage(
-        self, stages, orders, queries, k, topk, metrics, margin, sc
-    ) -> None:
+    def _run_stage(self, stages, queries, k, topk, metrics, skipped) -> None:
         """Execute pipeline stages as one Spark job and fold results in.
 
-        ``stages`` is ``[(label, active), ...]`` with ``active`` the
-        stage's ``(wave, position)`` pairs, and ``orders`` maps
-        ``(query, wave)`` to its dimension-block order (``None`` when
-        ``B_dim = 1``). The dimension pipeline passes one stage per job,
-        because τ² must tighten between stages. A ``B_dim = 1`` search
-        passes all its ``B_vec`` rounds at once: their workers reduce to
-        a local top-k and never read τ². Task tags are numbered across
-        the job's stages, so a result's tag also names its stage. Each
-        stage is still metered as its own :class:`StageRecord` and then
-        folded in, in stage order, so the results and the simulated time
-        do not depend on the grouping.
-        """
+        ``stages`` is ``[(label, round, t), ...]``. Global stage ``t`` runs
+        the round's tasks whose wave ``w`` has ``0 <= t - w < B_dim`` (one
+        contiguous slice), each at position ``s = t - w`` on the cell of
+        block ``order[s]``. Each stage is metered as its own
+        :class:`StageRecord` from its tasks' live counts, sent as its task
+        table, segments and packed ``alive`` bits (see :func:`_scan_worker`)
+        and folded in, in stage order, so the results and the simulated
+        time do not depend on how stages are grouped into jobs."""
         di = self.di
-        plan = di.plan
-        b_dim = plan.b_dim
-        payload: dict = {}
-        # Per non-empty stage: (label, tag -> (wave, position), ops,
-        # bytes down, bytes up, messages).
-        meters = []
-        tag = 0
-        for label, active in stages:
-            tag_to_wave: dict[int, tuple[_Wave, int]] = {}
-            ops = np.zeros(plan.n_nodes)
-            down = np.zeros(plan.n_nodes)
-            up = np.zeros(plan.n_nodes)
-            n_tasks = np.zeros(plan.n_nodes)
-            for wv, s in active:
-                b = 0 if orders is None else orders[(wv.q, wv.w)][s]
-                lo, hi = plan.dim_bounds[b]
-                node = plan.cell_node(wv.v, b)
-                cl_list = [(c, pos) for c, pos, _ in wv.entries if len(pos)]
-                if not cl_list:
-                    continue
-                tag_to_wave[tag] = (wv, s)
-                payload.setdefault((wv.v, b), []).append(
-                    (tag, queries[wv.q, lo:hi], cl_list)
-                )
-                tag += 1
-                npairs = sum(len(p) for _, p in cl_list)
-                n_tasks[node] += 1
-                ops[node] += npairs * (hi - lo)
-                down[node] += (hi - lo) * _SCALAR_BYTES
-                if s > 0:  # survivor sets resent after pruning
-                    down[node] += npairs * _POS_BYTES
-                if b_dim == 1:  # worker-local top-k reduction
-                    up[node] += k * _RESULT_BYTES
-                else:
-                    up[node] += npairs * _PARTIAL_BYTES
-            if tag_to_wave:
-                # One request + one response message per (query, wave)
-                # task.
-                meters.append((label, tag_to_wave, ops, down, up,
-                               2.0 * n_tasks))
+        plan, sc = di.plan, di.rdd.context
+        b_dim, n_nodes = plan.b_dim, plan.n_nodes
+        width = np.diff(np.asarray(plan.dim_bounds), axis=1)[:, 0]
+        payload, meters = [], []
+        for label, rd, t in stages:
+            ta, tb = np.searchsorted(rd.w, [t - b_dim + 1, t + 1])
+            s = t - rd.w[ta:tb]
+            b = rd.order[np.arange(ta, tb), s]
+            node = rd.v[ta:tb] * b_dim + b
+            ca, cb = rd.first[ta], rd.first[tb]
+            npairs = np.add.reduceat(rd.alive[ca:cb], rd.first[ta:tb] - ca,
+                                     dtype=np.int64)
+            skipped += np.bincount(s, np.diff(rd.first[ta:tb + 1]) - npairs,
+                                   b_dim)
+            live = npairs > 0
+            if not live.any():
+                continue
+            # One request + one response message per live (query, wave)
+            # task; survivor sets are resent after pruning (s > 0).
+            down = live * (width[b] * _SCALAR_BYTES
+                           + (s > 0) * npairs * _POS_BYTES)
+            up = live * (k * _RESULT_BYTES if b_dim == 1
+                         else npairs * _PARTIAL_BYTES)
+            ops, down, up, msgs = (np.bincount(node, x, n_nodes) for x in
+                                   (npairs * width[b], down, up, 2.0 * live))
+            metrics.record_stage(label, ops, down, up, msgs,
+                                 buffer_bytes=down + up)
+            seg = rd.seg0[ta:tb + 1]
+            table = np.stack([node, rd.q[ta:tb], np.diff(seg)], axis=1)
+            payload.append((table.astype(np.int32), rd.segs[seg[0]:seg[-1]],
+                            np.packbits(rd.alive[ca:cb])))
+            meters.append((label, rd, ta, tb, s, node))
         if not payload:
             return
-        finalize_k = k if b_dim == 1 else None
         prev_desc = sc.getLocalProperty("spark.job.description")
         sc.setJobDescription(" ".join(m[0] for m in meters))
-        bc = sc.broadcast((payload, finalize_k))
+        bc = sc.broadcast((payload, queries, plan.dim_bounds, b_dim,
+                           k if b_dim == 1 else None))
         try:
-            results = di.rdd.mapPartitions(_stage_worker(bc)).collect()
+            results = di.rdd.mapPartitions(_scan_worker(bc)).collect()
         finally:
             bc.unpersist()
             sc.setJobDescription(prev_desc)
-        stage_of = {t: i for i, m in enumerate(meters) for t in m[1]}
-        by_stage: list[list] = [[] for _ in meters]
-        for res in results:
-            by_stage[stage_of[res[0]]].append(res)
-        for (label, tag_to_wave, ops, down, up, msgs), stage_results in zip(
-            meters, by_stage
-        ):
-            metrics.record_stage(
-                label, ops, down, up, msgs, buffer_bytes=down + up
-            )
-            if b_dim == 1:
-                # Vector-partitioned round: workers returned their local
-                # top-k directly; fold it into the heaps and consume.
-                for tag, c, pos_sub, d_sub in stage_results:
-                    wv, _ = tag_to_wave[tag]
-                    topk.update(wv.q, di.cluster_ids[c][pos_sub], d_sub)
-                for wv, _ in tag_to_wave.values():
-                    for e in wv.entries:
-                        e[1] = e[1][:0]
+        by_stage: list[dict] = [{} for _ in meters]
+        for i, n, keep, d in results:
+            by_stage[i][n] = (keep, d)
+        for (_, rd, ta, tb, s, node), res in zip(meters, by_stage):
+            self._fold(rd, ta, tb, s, node, res, topk)
+            # Completed waves feed the heap → tighter τ² for the waves
+            # still in flight (the pipeline's pruning win).
+            self._finish(rd, ta, ta + np.count_nonzero(s == b_dim - 1), topk)
+
+    def _fold(self, rd, ta, tb, s, node, res, topk) -> None:
+        """Add a stage's partial sums into ``S²`` and prune its tasks with
+        ``prune_mask`` against their τ²·margin, read before any heap
+        update of the stage. After a worker-local top-k (``B_dim = 1``)
+        only the kept candidates stay alive, with their distances."""
+        if self.di.plan.b_dim == 1:
+            rd.alive[rd.first[ta]:rd.first[tb]] = False
+            for keep, d in res.values():
+                rd.alive[rd.first[ta] + keep] = True
+                rd.s2[rd.first[ta] + keep] = d
+            return
+        thr = np.full(tb - ta, np.inf)
+        if self.use_pruning:
+            pos = np.flatnonzero(s < self.di.plan.b_dim - 1)
+            thr[pos] = [topk.threshold(q) for q in rd.q[ta + pos]]
+            thr[pos] *= 1.0 + self.prune_margin
+        taken = dict.fromkeys(res, 0)
+        for i, j in _chunks(rd.first, ta, tb):
+            alive = rd.alive[rd.first[i]:rd.first[j]]
+            s2 = rd.s2[rd.first[i]:rd.first[j]]
+            ncand = np.diff(rd.first[i:j + 1])
+            cell = np.repeat(node[i - ta:j - ta], ncand)
+            for n, (_, d) in res.items():
+                m = alive & (cell == n)
+                cnt = np.count_nonzero(m)
+                s2[m] += d[taken[n]:taken[n] + cnt]
+                taken[n] += cnt
+            alive &= prune_mask(s2, np.repeat(thr[i - ta:j - ta], ncand))
+
+    def _finish(self, rd, ta, tb, topk) -> None:
+        """One ``TopK.update`` per finishing task in ``[ta, tb)``, with its
+        live candidates' ids and full distances ``S²``."""
+        _, base, vector_ids = rd.rows
+        seg_first = np.cumsum(rd.segs[:, 1]) - rd.segs[:, 1]
+        for i, j in _chunks(rd.first, ta, tb):
+            idx = np.flatnonzero(rd.alive[rd.first[i]:rd.first[j]])
+            idx += rd.first[i]
+            if not len(idx):
                 continue
-            res_map = {(tag, c): p for tag, c, _, p in stage_results}
-            for tag, (wv, s) in tag_to_wave.items():
-                tau2 = topk.threshold(wv.q) * margin
-                do_prune = (
-                    self.use_pruning and s < b_dim - 1
-                    and np.isfinite(tau2)
-                )
-                for e in wv.entries:
-                    c, pos, s2 = e
-                    if not len(pos):
-                        continue
-                    s2 = s2 + res_map[(tag, c)]
-                    if do_prune:
-                        keep = s2 <= tau2
-                        e[1], e[2] = pos[keep], s2[keep]
-                    else:
-                        e[1], e[2] = pos, s2
+            seg = np.searchsorted(seg_first, idx, "right") - 1
+            task = np.searchsorted(rd.first, idx, "right") - 1
+            row = rd.segs[seg, 0] + (idx - seg_first[seg])
+            ids = vector_ids[base[rd.v[task]] + row]
+            cut = np.flatnonzero(np.diff(task)) + 1
+            for t, i_t, d_t in zip(task[np.append(0, cut)], np.split(ids, cut),
+                                   np.split(rd.s2[idx], cut)):
+                topk.update(int(rd.q[t]), i_t, d_t)

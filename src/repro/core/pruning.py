@@ -28,13 +28,21 @@ class TopK:
         ]
 
     def update(self, q: int, ids: np.ndarray, dists: np.ndarray) -> None:
-        """Merge candidates ``(ids, dists)`` into query ``q``'s heap."""
+        """Merge candidates ``(ids, dists)`` into query ``q``'s heap.
+
+        When the heap is full, candidates farther than its k-th best
+        distance are dropped first. Ties are kept (``<=``): a tied
+        candidate with a smaller id still enters, so the result is exact.
+        """
+        ids = np.asarray(ids, np.int64)
+        dists = np.asarray(dists, np.float64)
+        if len(self._dists[q]) == self.k:
+            near = dists <= self._dists[q][-1]
+            ids, dists = ids[near], dists[near]
         if len(ids) == 0:
             return
-        all_ids = np.concatenate([self._ids[q], np.asarray(ids, np.int64)])
-        all_d = np.concatenate(
-            [self._dists[q], np.asarray(dists, np.float64)]
-        )
+        all_ids = np.concatenate([self._ids[q], ids])
+        all_d = np.concatenate([self._dists[q], dists])
         # Collapse duplicate ids, keeping the smallest distance.
         order = np.lexsort((all_d, all_ids))
         all_ids, all_d = all_ids[order], all_d[order]

@@ -1,4 +1,6 @@
 """Pipelined engine (Algorithm 1): exactness, pruning, metering."""
+import json
+import pickle
 import uuid
 
 import numpy as np
@@ -6,6 +8,10 @@ import pytest
 
 from repro.baseline.faiss_lite import search_ivf_flat
 from repro.cluster.machine import MachineModel
+from repro.core.router import dim_order
+from repro.core.searcher import HarmonyConfig, HarmonySearcher
+from repro.ivf.index import probe_clusters
+from repro.vectors.generate import base_spark
 from tests.conftest import (
     BAD_SEARCH_CASES,
     TEST_K,
@@ -56,6 +62,28 @@ def test_result_shape_and_order(built, ds):
     assert res.ids.shape == (len(ds["q"]), TEST_K)
     assert np.all(np.diff(res.dists, axis=1) >= -1e-12)
     assert np.all(res.ids >= 0)  # enough candidates at this scale
+
+
+@pytest.mark.parametrize("mode", ["vector", "dimension"])
+def test_distances_equal_blockwise_reference(built, ds, mode):
+    # Bit-exact reference loop: a prewarm row is scored whole on the
+    # client; any other candidate is the float64 sum of its float32 block
+    # sums, in the query's block order (rotate schedule).
+    s, x, q = built[mode], ds["x"], ds["q"]
+    di = s.di
+    res = s.search(q, k=TEST_K, nprobe=TEST_NPROBE)
+    probes = probe_clusters(di.centroids, q, TEST_NPROBE)
+    for qi in range(len(q)):
+        c0 = probes[qi, 0]
+        pre = di.cluster_ids[c0][: len(di.prewarm_rows.get(c0, ()))]
+        order = dim_order("rotate", qi, di.plan.b_dim)
+        for vid, got in zip(res.ids[qi], res.dists[qi]):
+            blocks = ([(0, di.dim)] if vid in pre
+                      else [di.plan.dim_bounds[b] for b in order])
+            want = 0.0
+            for lo, hi in blocks:
+                want += float(((x[vid, lo:hi] - q[qi, lo:hi]) ** 2).sum())
+            assert got == want
 
 
 def test_pruning_reduces_ops(built, ds):
@@ -236,3 +264,50 @@ def test_spark_jobs_carry_stage_labels(built, ds, mode, monkeypatch):
     labels = [st.label for st in res.report.metrics.stages]
     assert seen == ([" ".join(labels)] if mode == "vector" else labels)
     assert rdd.context.getLocalProperty("spark.job.description") == before
+
+
+def test_report_to_dict_round_trips_json(built, ds):
+    rep = built["dimension"].search(
+        ds["q"], k=TEST_K, nprobe=TEST_NPROBE
+    ).report
+    d = json.loads(json.dumps(rep.to_dict()))
+    assert d == rep.to_dict()
+    assert (d["pairs_total"], d["b_dim"]) == (rep.pairs_total, rep.b_dim)
+    assert d["skipped_at_position"] == rep.skipped_at_position.tolist()
+    assert d["client_ops"] == rep.metrics.client_ops
+    assert d["peak_buffer_bytes"] == rep.metrics.peak_buffer_bytes.tolist()
+    assert len(d["stages"]) == len(rep.metrics.stages)
+    for got, st in zip(d["stages"], rep.metrics.stages):
+        assert got == {"label": st.label, "ops": st.ops.tolist(),
+                       "bytes_down": st.bytes_down.tolist(),
+                       "bytes_up": st.bytes_up.tolist(),
+                       "msgs": st.msgs.tolist()}
+
+
+def test_dimension_payload_is_compact(spark, ds, monkeypatch):
+    # Stages ship segments and packed alive bits, not one int64 position
+    # per candidate (about 26 bytes a pair). Clusters of a few hundred rows
+    # make the per-task overhead (query matrix, segments) small, as at
+    # benchmark scale.
+    spec = ds["spec"]
+    s = HarmonySearcher.build(
+        spark, base_spark(spark, spec, 0.003),
+        HarmonyConfig(n_nodes=4, mode="dimension", nlist=4,
+                      prewarm_per_cluster=8, k_hint=TEST_K),
+        profile_queries=ds["q"],
+    )
+    sc = s.di.rdd.context
+    sizes = []
+    broadcast = sc.broadcast
+
+    def spy(value):
+        sizes.append(len(pickle.dumps(value, pickle.HIGHEST_PROTOCOL)))
+        return broadcast(value)
+
+    monkeypatch.setattr(sc, "broadcast", spy)
+    try:
+        res = s.search(ds["q"], k=TEST_K, nprobe=4)
+    finally:
+        s.di.unpersist()
+    assert len(sizes) == s.di.plan.b_dim + s.engine.n_waves - 1
+    assert sum(sizes) < 4 * res.report.pairs_total

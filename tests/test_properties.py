@@ -122,3 +122,30 @@ def test_topk_ids_independent_of_arrival_order(levels, k, n_calls, rnd):
     got_ids, got_d = run(perm)
     np.testing.assert_array_equal(got_ids, want_ids)
     np.testing.assert_array_equal(got_d, want_d)
+
+
+@given(
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)),
+                 max_size=12),
+        min_size=1, max_size=6,
+    ),
+    st.integers(1, 6),
+)
+@settings(max_examples=100)
+def test_topk_update_sequence_matches_brute_force(calls, k):
+    # Updates with tied distances and repeated ids keep the k best of the
+    # union by (dist, id), each id at its smallest distance. A full heap's
+    # pre-cut must keep ties: a tied candidate with a smaller id still
+    # displaces the k-th entry.
+    t = TopK(1, k)
+    best: dict[int, float] = {}
+    for call in calls:
+        ids = np.array([i for i, _ in call], dtype=np.int64)
+        t.update(0, ids, np.array([d for _, d in call], dtype=np.float64))
+        for i, d in call:
+            best[i] = min(best.get(i, np.inf), d)
+    want = sorted((d, i) for i, d in best.items())[:k]
+    got_ids, got_d = t.result()
+    assert got_ids[0].tolist() == [i for _, i in want] + [-1] * (k - len(want))
+    assert got_d[0][: len(want)].tolist() == [d for d, _ in want]
