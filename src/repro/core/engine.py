@@ -40,19 +40,17 @@ import numpy as np
 from repro.cluster.layout import DistributedIndex
 from repro.cluster.machine import MachineModel
 from repro.cluster.metrics import ClusterMetrics
+from repro.core.cost_model import (BYTES_PER_PARTIAL, BYTES_PER_POSITION,
+                                   BYTES_PER_RESULT, BYTES_PER_SCALAR)
 from repro.core.pruning import TopK, prune_mask
 from repro.core.router import (assign_query_groups, dim_order,
                                queries_per_vblock)
 from repro.ivf.index import check_search_args, probe_clusters
 
-#: Bytes on the wire per survivor position (int32 row index).
-_POS_BYTES = 4
-#: Bytes on the wire per partial distance (float64).
-_PARTIAL_BYTES = 8
-#: Bytes per transmitted query-slice scalar (float32).
-_SCALAR_BYTES = 4
-#: Bytes per (id, distance) result entry of a worker-local top-k.
-_RESULT_BYTES = 12
+#: Relative slack on τ² when pruning. S² is summed block by block, while
+#: the heap's distances may be summed in another order (prewarm sums whole
+#: vectors), so rounding alone must never prune a candidate that ties τ².
+_PRUNE_MARGIN = 1e-5
 #: Candidates the driver folds or finishes per chunk (bounds temporaries).
 _CHUNK = 1 << 15
 #: Rows a worker gathers per chunk (keeps its temporaries in cache).
@@ -204,7 +202,6 @@ class HarmonyEngine:
         schedule: str = "rotate",
         use_pruning: bool = True,
         n_waves: int = 4,
-        prune_margin: float = 1e-5,
     ):
         self.di = dindex
         self.machine = machine or MachineModel()
@@ -213,7 +210,6 @@ class HarmonyEngine:
         #: Candidate waves per round; 1 disables intra-round pipelining
         #: (the "w/o pipeline" ablation of Fig. 9 uses static + 1 wave).
         self.n_waves = n_waves
-        self.prune_margin = prune_margin
 
     # -----------------------------------------------------------------
     def search(
@@ -352,10 +348,10 @@ class HarmonyEngine:
                 continue
             # One request + one response message per live (query, wave)
             # task; survivor sets are resent after pruning (s > 0).
-            down = live * (width[b] * _SCALAR_BYTES
-                           + (s > 0) * npairs * _POS_BYTES)
-            up = live * (k * _RESULT_BYTES if b_dim == 1
-                         else npairs * _PARTIAL_BYTES)
+            down = live * (width[b] * BYTES_PER_SCALAR
+                           + (s > 0) * npairs * BYTES_PER_POSITION)
+            up = live * (k * BYTES_PER_RESULT if b_dim == 1
+                         else npairs * BYTES_PER_PARTIAL)
             ops, down, up, msgs = (np.bincount(node, x, n_nodes) for x in
                                    (npairs * width[b], down, up, 2.0 * live))
             metrics.record_stage(label, ops, down, up, msgs,
@@ -387,7 +383,7 @@ class HarmonyEngine:
 
     def _fold(self, rd, ta, tb, s, node, res, topk) -> None:
         """Add a stage's partial sums into ``S²`` and prune its tasks with
-        ``prune_mask`` against their τ²·margin, read before any heap
+        ``prune_mask`` against their τ²·(1 + margin), read before any heap
         update of the stage. After a worker-local top-k (``B_dim = 1``)
         only the kept candidates stay alive, with their distances."""
         if self.di.plan.b_dim == 1:
@@ -400,7 +396,7 @@ class HarmonyEngine:
         if self.use_pruning:
             pos = np.flatnonzero(s < self.di.plan.b_dim - 1)
             thr[pos] = [topk.threshold(q) for q in rd.q[ta + pos]]
-            thr[pos] *= 1.0 + self.prune_margin
+            thr[pos] *= 1.0 + _PRUNE_MARGIN
         taken = dict.fromkeys(res, 0)
         for i, j in _chunks(rd.first, ta, tb):
             alive = rd.alive[rd.first[i]:rd.first[j]]

@@ -77,15 +77,20 @@ class HarmonySearcher:
         df: DataFrame,
         config: HarmonyConfig = HarmonyConfig(),
         profile_queries: np.ndarray | None = None,
+        centroids: np.ndarray | None = None,
     ) -> "HarmonySearcher":
         """Train, add, plan and pre-assign the index (Fig. 10 stages).
 
         ``profile_queries`` — an optional sample workload the cost model
         profiles for skew; without it a uniform profile is assumed.
+        ``centroids`` — an existing clustering to distribute (paper §6.1:
+        all methods share one); without it the Train stage runs here.
         """
-        t0 = time.perf_counter()
-        centroids = train_centroids(df, config.nlist, seed=config.seed)
-        train_s = time.perf_counter() - t0
+        train_s = 0.0
+        if centroids is None:
+            t0 = time.perf_counter()
+            centroids = train_centroids(df, config.nlist, seed=config.seed)
+            train_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         adf = assign_vectors(spark, df, centroids).persist()

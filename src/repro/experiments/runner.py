@@ -1,15 +1,16 @@
 """Shared experiment harness: dataset bundles + searcher builds.
 
-Every evaluation table/figure job and benchmark goes through this module,
-so the workload (scale factor, node count, nlist, nprobe, K) is defined
-in exactly one place and builds are reused across experiments.
+Every evaluation table and figure goes through this module, so the
+workload (scale factor, node count, nlist, nprobe, K) is defined in
+exactly one place and builds are reused across experiments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.baseline.faiss_lite import BaselineResult, search_ivf_flat
 from repro.cluster.machine import MachineModel
@@ -17,6 +18,11 @@ from repro.core.searcher import HarmonyConfig, HarmonySearcher
 from repro.ivf.index import IVFIndex, build_ivf
 from repro.vectors.generate import base_numpy, base_spark, queries_numpy
 from repro.vectors.specs import DatasetSpec, get_spec
+
+#: Machine model every experiment converts metered work with.
+MACHINE = MachineModel()
+#: Datasets above 1500 dims get this extra shrink on the scale factor.
+HEAVY_SHRINK = 0.6
 
 
 @dataclass(frozen=True)
@@ -35,23 +41,18 @@ class ExperimentConfig:
     k: int = 10
     nprobe: int = 8
     prewarm_per_cluster: int = 16
-    seed: int = 0
-    alpha: float = 1.0
-    machine: MachineModel = field(default_factory=MachineModel)
-    #: Datasets whose dims make SF=0.01 heavy get an extra shrink factor.
-    heavy_shrink: float = 0.6
 
     def sf_for(self, spec: DatasetSpec) -> float:
         """Per-dataset scale factor (shrinks very high-dim sets)."""
-        return self.sf * self.heavy_shrink if spec.dim > 1500 else self.sf
+        return self.sf * HEAVY_SHRINK if spec.dim > 1500 else self.sf
 
 
 class DatasetBundle:
-    """One dataset's materialized artifacts, built lazily and cached.
+    """One dataset's artifacts, each built on first use and cached.
 
     Holds the numpy base/query arrays, the Spark vector DataFrame, the
-    single-node IVF index (the "Faiss" baseline) and one built
-    :class:`HarmonySearcher` per mode.
+    single-node IVF index (the "Faiss" baseline, whose centroids every
+    searcher shares) and the built :class:`HarmonySearcher` instances.
     """
 
     def __init__(self, spark: SparkSession, name: str, cfg: ExperimentConfig):
@@ -59,19 +60,27 @@ class DatasetBundle:
         self.cfg = cfg
         self.spec = get_spec(name)
         self.name = name
-        sf = cfg.sf_for(self.spec)
-        self.x = base_numpy(self.spec, sf)
-        self.queries = queries_numpy(self.spec, sf)
-        self.df = base_spark(spark, self.spec, sf)
-        self._ivf: IVFIndex | None = None
         self._searchers: dict[tuple, HarmonySearcher] = {}
 
-    @property
+    @cached_property
+    def x(self) -> np.ndarray:
+        """Base vectors, ``(n, dim)`` float32."""
+        return base_numpy(self.spec, self.cfg.sf_for(self.spec))
+
+    @cached_property
+    def queries(self) -> np.ndarray:
+        """The natural query batch."""
+        return queries_numpy(self.spec, self.cfg.sf_for(self.spec))
+
+    @cached_property
+    def df(self) -> DataFrame:
+        """Base vectors as a Spark ``(id, vec)`` DataFrame."""
+        return base_spark(self.spark, self.spec, self.cfg.sf_for(self.spec))
+
+    @cached_property
     def ivf(self) -> IVFIndex:
-        """Single-node IVF index (baseline), built once."""
-        if self._ivf is None:
-            self._ivf = build_ivf(self.x, self.cfg.nlist, seed=self.cfg.seed)
-        return self._ivf
+        """Single-node IVF index (baseline): the dataset's one clustering."""
+        return build_ivf(self.x, self.cfg.nlist)
 
     def searcher(
         self,
@@ -81,35 +90,34 @@ class DatasetBundle:
         tag: str = "",
         **overrides,
     ) -> HarmonySearcher:
-        """Build (or fetch) a searcher for ``mode``.
+        """Build (or fetch) a searcher for ``mode`` on the bundle's IVF
+        centroids.
 
         ``profile_queries`` is the sample workload the cost model plans
         against (harmony mode adapts to it; fixed modes ignore it for
         packing). ``tag`` disambiguates cached builds per workload.
+        ``overrides`` replace :class:`HarmonyConfig` fields (e.g.
+        ``n_nodes``, ``balanced``).
         """
-        key = (mode, schedule, tag, tuple(sorted(overrides.items())))
-        if key not in self._searchers:
-            cfg = HarmonyConfig(
-                n_nodes=self.cfg.n_nodes,
-                mode=mode,
-                nlist=self.cfg.nlist,
-                seed=self.cfg.seed,
-                schedule=schedule,
-                prewarm_per_cluster=self.cfg.prewarm_per_cluster,
-                machine=self.cfg.machine,
-                alpha=self.cfg.alpha,
-                nprobe_hint=self.cfg.nprobe,
-                k_hint=self.cfg.k,
-                **overrides,
-            )
-            self._searchers[key] = HarmonySearcher.build(
+        cfg = HarmonyConfig(
+            mode=mode,
+            nlist=self.cfg.nlist,
+            schedule=schedule,
+            prewarm_per_cluster=self.cfg.prewarm_per_cluster,
+            nprobe_hint=self.cfg.nprobe,
+            k_hint=self.cfg.k,
+            **{"n_nodes": self.cfg.n_nodes, **overrides},
+        )
+        if (cfg, tag) not in self._searchers:
+            self._searchers[cfg, tag] = HarmonySearcher.build(
                 self.spark, self.df, cfg,
                 profile_queries=(
                     self.queries if profile_queries is None
                     else profile_queries
                 ),
+                centroids=self.ivf.centroids,
             )
-        return self._searchers[key]
+        return self._searchers[cfg, tag]
 
     def workload(self, skew: float = 0.0) -> np.ndarray:
         """Query batch at the requested center-skew level (0 = natural)."""

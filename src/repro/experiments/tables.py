@@ -1,17 +1,25 @@
-"""Row generators for every evaluation table (paper §6) + shape checks.
+"""Row generators for every evaluation table and figure (paper §6).
 
-Each ``tableN_rows`` function returns a list of dicts — one per table row
-— in the paper's row order, and ``PAPER_TABLE*`` constants hold the
-published numbers so EXPERIMENTS.md (and the jobs' stdout) can show
-paper-vs-measured side by side.
+Each function returns a list of dicts — one per table row — in the
+paper's row order, and ``PAPER_TABLE*`` constants hold the published
+numbers so EXPERIMENTS.md (and the tables) can show paper-vs-measured
+side by side. :mod:`repro.experiments.registry` runs them.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from repro.baseline.exact import exact_knn, recall_at_k
-from repro.experiments.runner import DatasetBundle, ExperimentConfig, qps
-from repro.vectors.specs import SMALL_DATASETS, get_spec
+from repro.baseline.faiss_lite import search_ivf_flat
+from repro.experiments.runner import (
+    MACHINE,
+    DatasetBundle,
+    ExperimentConfig,
+    qps,
+)
+from repro.vectors.specs import get_spec
 
 # ---------------------------------------------------------------------------
 # Table 2 — dataset statistics
@@ -31,10 +39,12 @@ PAPER_TABLE2 = {
 }
 
 
-def table2_rows(cfg: ExperimentConfig) -> list[dict]:
+def table2_rows(
+    cfg: ExperimentConfig, names=tuple(PAPER_TABLE2)
+) -> list[dict]:
     """Table 2 at our scale: per dataset, lite size / dim / queries."""
     rows = []
-    for name in PAPER_TABLE2:
+    for name in names:
         spec = get_spec(name)
         sf = cfg.sf_for(spec)
         p_size, p_dim, p_q, p_type = PAPER_TABLE2[name]
@@ -69,32 +79,23 @@ PAPER_TABLE3 = {  # dataset -> (slice1..slice4 %, average %)
 }
 
 
-def table3_search(bundle: DatasetBundle):
-    """Run the Table-3 configuration (§6.3.3): dimensional split of size
-    4 across four nodes — pure dimension partitioning, static slice
-    order, so pipeline position k == dimension slice k."""
+def table3_rows(bundle: DatasetBundle) -> list[dict]:
+    """Per-slice pruning of one dataset in the Table-3 configuration
+    (§6.3.3): dimensional split of size 4 across four nodes — pure
+    dimension partitioning, static slice order, so pipeline position k
+    == dimension slice k."""
     cfg = bundle.cfg
     s = bundle.searcher("dimension").with_engine(schedule="static")
-    return s.search(bundle.queries, k=cfg.k, nprobe=cfg.nprobe)
-
-
-def table3_from_report(name: str, report) -> dict:
-    """Turn a Table-3 run's report into the table row."""
-    ratios = report.pruning_ratios() * 100.0
-    row = {"dataset": name}
+    res = s.search(bundle.queries, k=cfg.k, nprobe=cfg.nprobe)
+    ratios = res.report.pruning_ratios() * 100.0
+    row = {"dataset": bundle.name}
     for i in range(4):
         row[f"slice{i + 1}"] = float(ratios[i]) if i < len(ratios) else 0.0
     row["average"] = float(np.mean([row[f"slice{i + 1}"] for i in range(4)]))
-    paper = PAPER_TABLE3.get(name)
+    paper = PAPER_TABLE3.get(bundle.name)
     if paper:
         row["paper_average"] = paper[4]
-    return row
-
-
-def table3_row(bundle: DatasetBundle) -> dict:
-    """Measure per-slice pruning for one dataset (see
-    :func:`table3_search`)."""
-    return table3_from_report(bundle.name, table3_search(bundle).report)
+    return [row]
 
 
 # ---------------------------------------------------------------------------
@@ -175,26 +176,23 @@ def fig6_rows(bundle: DatasetBundle, nprobes=(2, 4, 8, 16)) -> list[dict]:
     """QPS-recall trade-off: simulated QPS of Faiss (1 node) vs the three
     Harmony modes (4 nodes) across an ``nprobe`` sweep (Fig. 6)."""
     cfg = bundle.cfg
-    model = cfg.machine
     true_ids, _ = exact_knn(bundle.x, bundle.queries, cfg.k)
     rows = []
     for nprobe in nprobes:
-        from repro.baseline.faiss_lite import search_ivf_flat
-
         base = search_ivf_flat(bundle.ivf, bundle.queries, cfg.k, nprobe)
         row = {
             "dataset": bundle.name,
             "nprobe": nprobe,
             "recall": recall_at_k(base.ids, true_ids),
             "faiss_qps": qps(
-                len(bundle.queries), base.simulated_seconds(model)
+                len(bundle.queries), base.simulated_seconds(MACHINE)
             ),
         }
         for mode in ("vector", "dimension", "harmony"):
             s = bundle.searcher(mode)
             res = s.search(bundle.queries, k=cfg.k, nprobe=nprobe)
             row[f"{mode}_qps"] = qps(
-                len(bundle.queries), res.report.simulated_seconds(model)
+                len(bundle.queries), res.report.simulated_seconds(MACHINE)
             )
         rows.append(row)
     return rows
@@ -207,7 +205,6 @@ def fig7_rows(
     of queries is aimed at one node's shard. Vector partitioning should
     degrade sharply; dimension and harmony stay stable."""
     cfg = bundle.cfg
-    model = cfg.machine
     rows = []
     for frac in fracs:
         queries = bundle.imbalanced_workload(frac)
@@ -223,7 +220,7 @@ def fig7_rows(
                 s = bundle.searcher(mode)
             res = s.search(queries, k=cfg.k, nprobe=cfg.nprobe)
             row[f"{mode}_qps"] = qps(
-                len(queries), res.report.simulated_seconds(model)
+                len(queries), res.report.simulated_seconds(MACHINE)
             )
             if mode == "vector":
                 row["load_std"] = res.report.metrics.imbalance()
@@ -246,13 +243,10 @@ def fig9_rows(bundle: DatasetBundle) -> list[dict]:
     the quantity Table 3 measures) is reported alongside.
     """
     cfg = bundle.cfg
-    model = cfg.machine
     queries = bundle.imbalanced_workload(0.5)
 
     def run(searcher, blocking=False):
-        from dataclasses import replace as _rep
-
-        m = model if not blocking else _rep(model, blocking=True)
+        m = replace(MACHINE, blocking=True) if blocking else MACHINE
         res = searcher.search(queries, k=cfg.k, nprobe=cfg.nprobe)
         return (
             res.report.metrics.simulated_seconds(m),
@@ -284,6 +278,25 @@ def fig9_rows(bundle: DatasetBundle) -> list[dict]:
     ]
 
 
+def fig11_rows(bundle: DatasetBundle, nodes=(2, 4, 8)) -> list[dict]:
+    """Scalability (Fig. 11b): simulated speedup of each mode on ``n``
+    nodes over 1-node faiss_lite, for each ``n`` in ``nodes``."""
+    cfg = bundle.cfg
+    t1 = bundle.faiss().simulated_seconds(MACHINE)
+    rows = []
+    for n in nodes:
+        row = {"dataset": bundle.name, "nodes": n,
+               "faiss_qps": qps(len(bundle.queries), t1)}
+        for mode in ("vector", "dimension", "harmony"):
+            s = bundle.searcher(mode, n_nodes=n)
+            res = s.search(bundle.queries, k=cfg.k, nprobe=cfg.nprobe)
+            row[f"{mode}_speedup"] = t1 / res.report.simulated_seconds(
+                MACHINE
+            )
+        rows.append(row)
+    return rows
+
+
 def format_table(rows: list[dict], floatfmt: str = "{:.2f}") -> str:
     """Plain-text table for job stdout / EXPERIMENTS.md."""
     if not rows:
@@ -306,8 +319,3 @@ def format_table(rows: list[dict], floatfmt: str = "{:.2f}") -> str:
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def small_dataset_names() -> tuple[str, ...]:
-    """The eight datasets of Tables 3-5."""
-    return SMALL_DATASETS

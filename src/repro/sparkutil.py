@@ -1,7 +1,9 @@
-"""SparkSession helper for spark-submit jobs (outside pytest).
+"""SparkSession helper for ``python -m repro.experiments`` (outside pytest).
 
-Mirrors conftest.py's session settings so jobs and tests see identical
-Spark behaviour (shuffle partitions, Arrow, no auto-broadcast).
+Mirrors conftest.py's session settings so the experiments and the tests
+see identical Spark behaviour (shuffle partitions, Arrow, no
+auto-broadcast). The driver gets 4g, not Spark's 1g default, because a
+run keeps every requested dataset's indexes cached.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ def get_session(app: str = "repro-job") -> SparkSession:
     return (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
+        .config("spark.driver.memory", "4g")
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
         .config("spark.ui.showConsoleProgress", "false")

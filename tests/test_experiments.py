@@ -2,6 +2,10 @@
 import numpy as np
 import pytest
 
+import repro.cluster.layout
+import repro.ivf.index
+from repro.experiments import report
+from repro.experiments.registry import EXPERIMENTS, main
 from repro.experiments.runner import DatasetBundle, ExperimentConfig, qps
 from repro.experiments.tables import (
     PAPER_TABLE2,
@@ -11,12 +15,13 @@ from repro.experiments.tables import (
     fig6_rows,
     fig7_rows,
     fig9_rows,
+    fig11_rows,
     format_table,
     table2_rows,
-    table3_row,
     table4_row,
     table5_row,
 )
+from repro.ivf.kmeans import kmeans
 
 CFG = ExperimentConfig(sf=0.002, nlist=16, nprobe=6, k=5,
                        prewarm_per_cluster=8)
@@ -44,7 +49,7 @@ def test_table2_rows_complete():
 
 
 def test_table3_row_shape(bundle):
-    row = table3_row(bundle)
+    (row,) = EXPERIMENTS["table3"].rows(bundle)
     assert row["slice1"] == 0.0
     slices = [row[f"slice{i}"] for i in range(1, 5)]
     assert all(0 <= s <= 100 for s in slices)
@@ -112,6 +117,46 @@ def test_fig9_speedups_positive(bundle):
     for c in ("balanced_load_speedup", "pipeline_async_speedup",
               "pruning_speedup"):
         assert row[c] > 0.8  # each technique never badly hurts
+
+
+def test_fig11_harmony_speedup_rises_with_nodes(bundle):
+    rows = fig11_rows(bundle, nodes=(2, 4))
+    assert [r["nodes"] for r in rows] == [2, 4]
+    assert rows[1]["harmony_speedup"] > rows[0]["harmony_speedup"]
+
+
+def test_one_clustering_per_dataset(spark, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(repro.ivf.index, "kmeans", counted)
+    monkeypatch.setattr(repro.cluster.layout, "kmeans", counted)
+    b = DatasetBundle(spark, "sift1m", CFG)
+    try:
+        searchers = [b.searcher(m) for m in ("vector", "dimension",
+                                             "harmony")]
+        assert len(calls) == 1  # bundle.ivf, shared by the three modes
+        for s in searchers:
+            assert np.array_equal(s.di.centroids, b.ivf.centroids)
+    finally:
+        b.close()
+
+
+def test_cli_writes_table(spark, monkeypatch, tmp_path):
+    monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
+    assert main(["table2", "--sf", "0.002"]) == 0
+    text = (tmp_path / "table2.txt").read_text()
+    assert text.startswith("Table 2 — dataset statistics (lite analogs)")
+    assert len(text.splitlines()) == 2 + 2 + len(PAPER_TABLE2)
+
+
+def test_cli_rejects_unknown_experiment():
+    with pytest.raises(SystemExit) as e:
+        main(["table9"])
+    assert e.value.code != 0
 
 
 def test_qps_helper():

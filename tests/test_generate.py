@@ -73,6 +73,11 @@ def test_base_numpy_shape_dtype():
     x = base_numpy(SPEC, 0.0005)
     assert x.shape == (500, SPEC.dim)
     assert x.dtype == np.float32
+    for name in SMALL_DATASETS:
+        spec = get_spec(name)
+        x = base_numpy(spec, 0.0005)
+        assert x.shape == (spec.n_base(0.0005), spec.dim)
+        assert x.dtype == np.float32
 
 
 def test_base_numpy_spans_blocks():
