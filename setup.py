@@ -1,5 +1,6 @@
-"""Legacy setup shim so ``pip install -e .`` works offline (no build
-isolation; see the note in pyproject.toml)."""
+"""Offline install path: ``python setup.py develop`` needs only the
+installed setuptools, while ``pip install -e .`` needs ``wheel`` (see
+the note in pyproject.toml and README "Offline install")."""
 from setuptools import find_packages, setup
 
 setup(

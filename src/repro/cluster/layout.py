@@ -21,6 +21,7 @@ from pyspark.sql import functions as F
 
 from repro.core.partition import PartitionPlan
 from repro.ivf.kmeans import kmeans
+from repro.sparkutil import spark_task
 
 #: Bytes per element of the per-node partial-distance accumulator that
 #: dimension-partitioned layouts pre-allocate (8B float64 running sum +
@@ -156,6 +157,7 @@ def assign_vectors(
 
     bc = spark.sparkContext.broadcast(centroids)
 
+    @spark_task
     def assign(batches):
         from repro.ivf.index import assign_clusters
 
@@ -227,6 +229,7 @@ def distribute(
     }
 
     # Worker cells via the custom cell->node partitioner.
+    @spark_task
     def to_slices(rows_iter):
         ids, cs, vecs = [], [], []
         for r in rows_iter:
@@ -247,6 +250,7 @@ def distribute(
                     (int(c), ids_a[m], np.ascontiguousarray(x[m, lo:hi])),
                 )
 
+    @spark_task
     def build_cells(kv_iter):
         chunks: dict[tuple[int, int], dict[int, list]] = {}
         for (v, b), (c, ids_a, mat) in kv_iter:
@@ -271,11 +275,13 @@ def distribute(
         .mapPartitions(build_cells)
         .persist(StorageLevel.MEMORY_ONLY)
     )
-    per_node = dict(
-        rdd.map(
-            lambda cell: (cell.vblock * b_dim + cell.dimblock, cell.nbytes())
-        ).collect()
-    )
+
+    @spark_task
+    def cell_bytes(cells):
+        for cell in cells:
+            yield cell.vblock * b_dim + cell.dimblock, cell.nbytes()
+
+    per_node = dict(rdd.mapPartitions(cell_bytes).collect())
     node_bytes = np.array(
         [float(per_node.get(n, 0)) for n in range(plan.n_nodes)]
     )

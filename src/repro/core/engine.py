@@ -32,6 +32,7 @@ up (partial sums / local top-k results), messages, transient buffers.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import partial
 
@@ -46,6 +47,7 @@ from repro.core.pruning import TopK, prune_mask
 from repro.core.router import (assign_query_groups, dim_order,
                                queries_per_vblock)
 from repro.ivf.index import check_search_args, probe_clusters
+from repro.sparkutil import spark_task
 
 #: Relative slack on τ² when pruning. S² is summed block by block, while
 #: the heap's distances may be summed in another order (prewarm sums whole
@@ -68,6 +70,9 @@ class SearchReport:
     #: position ``s`` executed (Table 3 numerators; position 0 is 0).
     skipped_at_position: np.ndarray
     b_dim: int
+    #: One ``(stage labels, wall seconds)`` per Spark job, in run order;
+    #: a job is timed from its broadcast to its unpersist.
+    jobs: list[tuple[list[str], float]]
 
     def pruning_ratios(self) -> np.ndarray:
         """Table 3 per-slice pruning ratios (fraction of distance
@@ -81,8 +86,9 @@ class SearchReport:
         return self.metrics.simulated_seconds(model)
 
     def to_dict(self) -> dict:
-        """JSON-safe summary: totals, per-position skips and every
-        stage's per-node ops, bytes down, bytes up and messages."""
+        """JSON-safe summary: totals, per-position skips, every stage's
+        per-node ops, bytes down, bytes up and messages, and every Spark
+        job's stage labels and wall time."""
         m = self.metrics
         return {
             "pairs_total": int(self.pairs_total),
@@ -91,6 +97,8 @@ class SearchReport:
             "client_ops": float(m.client_ops),
             "peak_buffer_bytes": m.peak_buffer_bytes.tolist(),
             "stages": [st.to_dict() for st in m.stages],
+            "jobs": [{"labels": list(labels), "wall_s": wall_s}
+                     for labels, wall_s in self.jobs],
         }
 
 
@@ -154,7 +162,8 @@ def _scan_worker(payload_bc):
       worker; ``keep`` holds the kept candidates' stage offsets.
     """
 
-    def fn(cells):
+    @spark_task
+    def scan(cells):
         out = []
         stages, queries, bounds, b_dim, finalize_k = payload_bc.value
         for cell in cells:
@@ -189,7 +198,7 @@ def _scan_worker(payload_bc):
                 out.append((i, node, cand[keep], d[keep]))
         return out
 
-    return fn
+    return scan
 
 
 class HarmonyEngine:
@@ -253,8 +262,9 @@ class HarmonyEngine:
         rounds = [(r, rd) for r in range(b_vec)
                   if (rd := self._layout(r, *args)) is not None]
         skipped = np.zeros(b_dim)
+        jobs: list[tuple[list[str], float]] = []
         run = partial(self._run_stage, queries=queries, k=k, topk=topk,
-                      metrics=metrics, skipped=skipped)
+                      metrics=metrics, skipped=skipped, jobs=jobs)
         if b_dim == 1:
             # Whole-vector cells: workers reduce to a local top-k and
             # never read τ², so the rounds share one Spark job.
@@ -273,7 +283,7 @@ class HarmonyEngine:
                 run([(f"r{r}t{t}", rd, t)])
 
         pairs_total = sum(len(rd.alive) for _, rd in rounds)
-        report = SearchReport(metrics, pairs_total, skipped, b_dim)
+        report = SearchReport(metrics, pairs_total, skipped, b_dim, jobs)
         return SearchResult(*topk.result(), report)
 
     # -----------------------------------------------------------------
@@ -317,7 +327,8 @@ class HarmonyEngine:
         )
 
     # -----------------------------------------------------------------
-    def _run_stage(self, stages, queries, k, topk, metrics, skipped) -> None:
+    def _run_stage(self, stages, queries, k, topk, metrics, skipped,
+                   jobs) -> None:
         """Execute pipeline stages as one Spark job and fold results in.
 
         ``stages`` is ``[(label, round, t), ...]``. Global stage ``t`` runs
@@ -327,7 +338,8 @@ class HarmonyEngine:
         :class:`StageRecord` from its tasks' live counts, sent as its task
         table, segments and packed ``alive`` bits (see :func:`_scan_worker`)
         and folded in, in stage order, so the results and the simulated
-        time do not depend on how stages are grouped into jobs."""
+        time do not depend on how stages are grouped into jobs. The job's
+        labels and wall time are appended to ``jobs``."""
         di = self.di
         plan, sc = di.plan, di.rdd.context
         b_dim, n_nodes = plan.b_dim, plan.n_nodes
@@ -363,8 +375,10 @@ class HarmonyEngine:
             meters.append((label, rd, ta, tb, s, node))
         if not payload:
             return
+        labels = [m[0] for m in meters]
         prev_desc = sc.getLocalProperty("spark.job.description")
-        sc.setJobDescription(" ".join(m[0] for m in meters))
+        sc.setJobDescription(" ".join(labels))
+        t0 = time.perf_counter()
         bc = sc.broadcast((payload, queries, plan.dim_bounds, b_dim,
                            k if b_dim == 1 else None))
         try:
@@ -372,6 +386,7 @@ class HarmonyEngine:
         finally:
             bc.unpersist()
             sc.setJobDescription(prev_desc)
+        jobs.append((labels, time.perf_counter() - t0))
         by_stage: list[dict] = [{} for _ in meters]
         for i, n, keep, d in results:
             by_stage[i][n] = (keep, d)

@@ -13,6 +13,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
+from repro.sparkutil import spark_task
 from repro.vectors.specs import DatasetSpec
 
 #: Rows per deterministic generation block.
@@ -128,6 +129,7 @@ def base_spark(
     n = spec.n_base(sf)
     spec_ref, seed_ref = spec, seed
 
+    @spark_task
     def gen(batches):
         centers = mixture_centers(spec_ref, 0)
         for pdf in batches:

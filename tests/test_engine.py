@@ -266,6 +266,25 @@ def test_spark_jobs_carry_stage_labels(built, ds, mode, monkeypatch):
     assert rdd.context.getLocalProperty("spark.job.description") == before
 
 
+@pytest.mark.parametrize("mode", ["vector", "dimension"])
+def test_report_times_each_spark_job(built, ds, mode):
+    s = built[mode]
+    res, n_jobs = _search_counting_jobs(s, ds["q"])
+    rep = res.report
+    labels = [st.label for st in rep.metrics.stages]
+    if mode == "vector":
+        assert [job for job, _ in rep.jobs] == [
+            [f"r{r}t0" for r in range(s.di.plan.b_vec)]]
+    else:
+        assert len(rep.jobs) == s.di.plan.b_dim + s.engine.n_waves - 1
+        assert [job for job, _ in rep.jobs] == [[lb] for lb in labels]
+    assert len(rep.jobs) == n_jobs
+    assert all(wall_s > 0 for _, wall_s in rep.jobs)
+    d = json.loads(json.dumps(rep.to_dict()))
+    assert d["jobs"] == [{"labels": job, "wall_s": wall_s}
+                         for job, wall_s in rep.jobs]
+
+
 def test_report_to_dict_round_trips_json(built, ds):
     rep = built["dimension"].search(
         ds["q"], k=TEST_K, nprobe=TEST_NPROBE
