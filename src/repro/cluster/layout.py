@@ -11,7 +11,6 @@ lists, prewarm sample).
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +19,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.partition import PartitionPlan
+from repro.ivf import index as ivf_index
 from repro.ivf.kmeans import kmeans
 from repro.sparkutil import spark_task
 
@@ -76,7 +76,8 @@ class DistributedIndex:
     prewarm_rows: dict[int, np.ndarray]
     rdd: object  # RDD[CellStore], one partition per node
     node_index_bytes: np.ndarray
-    build_seconds: dict[str, float]
+    #: Seconds of the Train, Add and Pre-assign stages (set by the build).
+    build_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def nlist(self) -> int:
@@ -134,17 +135,16 @@ class DistributedIndex:
         self.rdd.unpersist()
 
 
-def train_centroids(
-    df: DataFrame, nlist: int, seed: int = 0, sample_cap: int = 65_536
-) -> np.ndarray:
+def train_centroids(df: DataFrame, nlist: int, seed: int = 0) -> np.ndarray:
     """Train IVF centroids from a Spark vector DataFrame ("Train" stage).
 
-    Takes a deterministic id-prefix sample (≤ ``sample_cap`` rows) to the
-    driver and runs seeded k-means, exactly as Faiss trains on a sample.
+    Takes the id-prefix sample ``id < TRAIN_SAMPLE_CAP`` (the rule
+    :func:`repro.ivf.index.build_ivf` also follows) to the driver through
+    Arrow and runs seeded k-means, exactly as Faiss trains on a sample.
     """
-    rows = df.where(F.col("id") < sample_cap).select("vec").collect()
-    x = np.asarray([r[0] for r in rows], dtype=np.float32)
-    return kmeans(x, nlist, seed=seed)
+    sample = df.where(F.col("id") < ivf_index.TRAIN_SAMPLE_CAP).select("vec")
+    x = np.stack(sample.toPandas()["vec"].to_numpy())
+    return kmeans(x.astype(np.float32, copy=False), nlist, seed=seed)
 
 
 def assign_vectors(
@@ -179,54 +179,37 @@ def assign_vectors(
     return df.mapInPandas(assign, schema=schema)
 
 
+def routing_table(assigned: DataFrame, nlist: int) -> list[np.ndarray]:
+    """The client routing table: per-cluster vector ids, ascending, from
+    one ``(cluster, id)`` collection of an assigned vector table."""
+    pdf = assigned.select("cluster", "id").toPandas()
+    grouped = pdf.sort_values("id").groupby("cluster")["id"]
+    by_cluster = {int(c): v.to_numpy(dtype=np.int64) for c, v in grouped}
+    return [by_cluster.get(c, np.empty(0, dtype=np.int64))
+            for c in range(nlist)]
+
+
 def distribute(
-    spark: SparkSession,
     assigned: DataFrame,
     plan: PartitionPlan,
+    centroids: np.ndarray,
+    cluster_ids: list[np.ndarray],
     prewarm_per_cluster: int = 32,
-    train_seconds: float = 0.0,
-    add_seconds: float = 0.0,
-    centroids: np.ndarray | None = None,
 ) -> DistributedIndex:
     """Lay an assigned vector table out on the simulated cluster.
 
     Splits every row into ``B_dim`` dimension slices keyed by grid cell,
     then ``partitionBy(n_nodes, cell→node)`` — the custom partitioner —
     places each cell on its node, where slices are merged into a
-    :class:`CellStore` (rows id-sorted). Also collects the client-side
-    routing table and prewarm sample. Timed as the "Pre-assign" stage.
+    :class:`CellStore` (rows id-sorted). The one job that materialises the
+    cells also returns each cell's size and the first
+    ``prewarm_per_cluster`` rows of each of its clusters, which the driver
+    joins across dimension blocks into the client's prewarm sample. The
+    "Pre-assign" stage; ``cluster_ids`` is :func:`routing_table`'s.
     """
-    t0 = time.perf_counter()
-    sc = spark.sparkContext
     c2v = np.asarray(plan.cluster_to_vblock)
     bounds = plan.dim_bounds
     b_dim = plan.b_dim
-
-    # Client routing table: per-cluster ascending id lists.
-    map_pdf = assigned.select("cluster", "id").toPandas()
-    nlist = len(c2v)
-    cluster_ids: list[np.ndarray] = []
-    grouped = map_pdf.sort_values("id").groupby("cluster")["id"]
-    by_cluster = {int(c): v.to_numpy(dtype=np.int64) for c, v in grouped}
-    for c in range(nlist):
-        cluster_ids.append(by_cluster.get(c, np.empty(0, dtype=np.int64)))
-
-    # Prewarm sample: first rows of every cluster, full dimensionality.
-    want: dict[int, np.ndarray] = {
-        c: ids[:prewarm_per_cluster] for c, ids in enumerate(cluster_ids)
-    }
-    want_ids = np.concatenate([v for v in want.values() if len(v)])
-    rows = (
-        assigned.where(F.col("id").isin([int(i) for i in want_ids]))
-        .select("id", "vec")
-        .collect()
-    )
-    vec_by_id = {int(r[0]): np.asarray(r[1], dtype=np.float32) for r in rows}
-    prewarm_rows = {
-        c: np.stack([vec_by_id[int(i)] for i in ids])
-        for c, ids in want.items()
-        if len(ids)
-    }
 
     # Worker cells via the custom cell->node partitioner.
     @spark_task
@@ -278,15 +261,23 @@ def distribute(
 
     @spark_task
     def cell_bytes(cells):
+        # A cluster's view ends at its last row, so a head never runs into
+        # the next cluster.
         for cell in cells:
-            yield cell.vblock * b_dim + cell.dimblock, cell.nbytes()
+            yield (cell.vblock * b_dim + cell.dimblock, cell.nbytes(),
+                   {c: m[:prewarm_per_cluster]
+                    for c, m in cell.clusters.items()})
 
-    per_node = dict(rdd.mapPartitions(cell_bytes).collect())
-    node_bytes = np.array(
-        [float(per_node.get(n, 0)) for n in range(plan.n_nodes)]
-    )
-    if centroids is None:
-        raise ValueError("distribute() requires the trained centroids")
+    node_bytes = np.zeros(plan.n_nodes)
+    heads = {}
+    for node, nbytes, cell_heads in rdd.mapPartitions(cell_bytes).collect():
+        node_bytes[node] = nbytes
+        heads[plan.node_cell(node)] = cell_heads
+    # Prewarm sample: first rows of every cluster, full dimensionality.
+    prewarm_rows = {
+        c: np.hstack([heads[c2v[c], b][c] for b in range(b_dim)])
+        for c, ids in enumerate(cluster_ids) if len(ids)
+    }
     return DistributedIndex(
         plan=plan,
         centroids=centroids,
@@ -294,9 +285,4 @@ def distribute(
         prewarm_rows=prewarm_rows,
         rdd=rdd,
         node_index_bytes=node_bytes,
-        build_seconds={
-            "train": train_seconds,
-            "add": add_seconds,
-            "preassign": time.perf_counter() - t0,
-        },
     )

@@ -206,13 +206,13 @@ class HarmonyEngine:
 
     def __init__(
         self,
-        dindex: DistributedIndex,
+        di: DistributedIndex,
         machine: MachineModel | None = None,
         schedule: str = "rotate",
         use_pruning: bool = True,
         n_waves: int = 4,
     ):
-        self.di = dindex
+        self.di = di
         self.machine = machine or MachineModel()
         self.schedule = schedule
         self.use_pruning = use_pruning

@@ -17,6 +17,7 @@ from repro.cluster.layout import (
     DistributedIndex,
     assign_vectors,
     distribute,
+    routing_table,
     train_centroids,
 )
 from repro.cluster.machine import MachineModel
@@ -65,7 +66,7 @@ class HarmonyConfig:
 class HarmonySearcher:
     """A built distributed index plus its engine and planning record."""
 
-    dindex: DistributedIndex
+    di: DistributedIndex
     config: HarmonyConfig
     engine: HarmonyEngine
     planned_cost: CostBreakdown | None = None
@@ -79,7 +80,9 @@ class HarmonySearcher:
         profile_queries: np.ndarray | None = None,
         centroids: np.ndarray | None = None,
     ) -> "HarmonySearcher":
-        """Train, add, plan and pre-assign the index (Fig. 10 stages).
+        """Train, add, plan and pre-assign the index (Fig. 10 stages) in
+        three Spark jobs: the train sample, the routing table (which gives
+        the planner its cluster sizes) and the cells.
 
         ``profile_queries`` — an optional sample workload the cost model
         profiles for skew; without it a uniform profile is assumed.
@@ -94,13 +97,8 @@ class HarmonySearcher:
 
         t0 = time.perf_counter()
         adf = assign_vectors(spark, df, centroids).persist()
-        counts = {
-            int(r[0]): int(r[1])
-            for r in adf.groupBy("cluster").count().collect()
-        }
-        sizes = np.array(
-            [counts.get(c, 0) for c in range(len(centroids))], np.float64
-        )
+        cluster_ids = routing_table(adf, len(centroids))
+        sizes = np.array([len(ids) for ids in cluster_ids], np.float64)
         add_s = time.perf_counter() - t0
 
         dim = centroids.shape[1]
@@ -111,11 +109,9 @@ class HarmonySearcher:
             )
         else:
             profile = QueryProfile.uniform(
-                len(centroids), dim, sizes,
-                n_queries=max(1, 100), nprobe=config.nprobe_hint,
-                k=config.k_hint,
+                len(centroids), dim, sizes, n_queries=100,
+                nprobe=config.nprobe_hint, k=config.k_hint,
             )
-        weights = profile.probe_counts * profile.cluster_sizes
         cost = None
         # Fixed modes model the *traditional* distribution: clusters are
         # packed by size alone, blind to the query workload (paper §6.1's
@@ -136,22 +132,17 @@ class HarmonySearcher:
                 ),
                 balanced=config.balanced,
             )
-        di = distribute(
-            spark, adf, plan,
-            prewarm_per_cluster=config.prewarm_per_cluster,
-            train_seconds=train_s, add_seconds=add_s, centroids=centroids,
-        )
+        t0 = time.perf_counter()
+        di = distribute(adf, plan, centroids, cluster_ids,
+                        config.prewarm_per_cluster)
+        di.build_seconds = {"train": train_s, "add": add_s,
+                            "preassign": time.perf_counter() - t0}
         adf.unpersist()
         engine = HarmonyEngine(
             di, machine=config.machine, schedule=config.schedule,
             use_pruning=config.use_pruning,
         )
         return cls(di, config, engine, cost)
-
-    @property
-    def di(self) -> DistributedIndex:
-        """Alias kept short for test ergonomics."""
-        return self.dindex
 
     def search(
         self, queries: np.ndarray, k: int = 10, nprobe: int = 8
@@ -161,15 +152,19 @@ class HarmonySearcher:
 
     def with_engine(self, **overrides) -> "HarmonySearcher":
         """A sibling searcher sharing the built index but with engine
-        knobs overridden (schedule, pruning, waves, machine) — used by
-        the ablation experiments without re-distributing the index."""
-        n_waves = overrides.pop("n_waves", 4)
-        cfg = replace(self.config, **{
-            k: v for k, v in overrides.items()
-            if k in ("schedule", "use_pruning", "machine")
-        })
+        knobs overridden (schedule, use_pruning, machine, n_waves) — used
+        by the ablation experiments without re-distributing the index.
+        Knobs not overridden keep this searcher's values; any other key
+        raises ``ValueError``."""
+        unknown = set(overrides) - {"schedule", "use_pruning", "machine",
+                                    "n_waves"}
+        if unknown:
+            raise ValueError(
+                f"with_engine() cannot override {sorted(unknown)}")
+        n_waves = overrides.pop("n_waves", self.engine.n_waves)
+        cfg = replace(self.config, **overrides)
         eng = HarmonyEngine(
-            self.dindex, machine=cfg.machine, schedule=cfg.schedule,
+            self.di, machine=cfg.machine, schedule=cfg.schedule,
             use_pruning=cfg.use_pruning, n_waves=n_waves,
         )
-        return HarmonySearcher(self.dindex, cfg, eng, self.planned_cost)
+        return HarmonySearcher(self.di, cfg, eng, self.planned_cost)

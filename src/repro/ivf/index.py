@@ -15,6 +15,10 @@ import numpy as np
 
 from repro.ivf.kmeans import kmeans, pairwise_sq_l2
 
+#: Centroids are trained on the vectors with ``id < TRAIN_SAMPLE_CAP``: an
+#: id prefix, so the numpy and the Spark builds train on the same sample.
+TRAIN_SAMPLE_CAP = 65_536
+
 
 @dataclass
 class IVFIndex:
@@ -61,9 +65,10 @@ class IVFIndex:
 
 
 def build_ivf(x: np.ndarray, nlist: int, seed: int = 0) -> IVFIndex:
-    """Train centroids on ``x`` and populate the inverted lists."""
+    """Train centroids on the first ``TRAIN_SAMPLE_CAP`` rows of ``x``
+    (row ``i`` is vector id ``i``) and populate the inverted lists."""
     x = np.ascontiguousarray(x, dtype=np.float32)
-    centroids = kmeans(x, nlist, seed=seed)
+    centroids = kmeans(x[:TRAIN_SAMPLE_CAP], nlist, seed=seed)
     assign = assign_clusters(centroids, x)
     ids = np.arange(len(x), dtype=np.int64)
     cluster_ids, cluster_vectors = [], []

@@ -2,6 +2,9 @@
 import numpy as np
 import pytest
 
+from repro.cluster.layout import train_centroids
+from repro.ivf import index
+from repro.ivf.kmeans import kmeans
 from tests.conftest import TEST_NLIST
 
 
@@ -71,12 +74,28 @@ def test_cluster_assignment_matches_driver_ivf(built, ds):
 
 
 def test_prewarm_rows_are_cluster_prefixes(built, ds):
-    s = built["harmony"]
+    # Every non-empty cluster has its first min(8, size) rows at full
+    # dimensionality (8 = prewarm_per_cluster in conftest); a short
+    # cluster's head must not run into the next cluster's rows.
     x = ds["x"]
-    for c, rows in s.di.prewarm_rows.items():
-        ids = s.di.cluster_ids[c][: len(rows)]
-        np.testing.assert_array_equal(rows, x[ids])
-        assert len(rows) <= 8  # prewarm_per_cluster in conftest
+    for mode in ("harmony", "vector", "dimension"):
+        di = built[mode].di
+        heads = {c: ids[:8] for c, ids in enumerate(di.cluster_ids)
+                 if len(ids)}
+        assert min(len(ids) for ids in di.cluster_ids) < 8
+        assert di.prewarm_rows.keys() == heads.keys()
+        for c, ids in heads.items():
+            np.testing.assert_array_equal(di.prewarm_rows[c], x[ids])
+
+
+def test_train_sample_cap_is_one_rule(ds, monkeypatch):
+    # With a cap below the 800-row corpus, the Spark and the numpy builds
+    # train on the same id prefix, and the cap changes the clustering.
+    monkeypatch.setattr(index, "TRAIN_SAMPLE_CAP", 500)
+    want = index.build_ivf(ds["x"], TEST_NLIST).centroids
+    np.testing.assert_array_equal(train_centroids(ds["df"], TEST_NLIST),
+                                  want)
+    assert not np.array_equal(want, kmeans(ds["x"], TEST_NLIST))
 
 
 def test_accumulator_bytes_only_for_dim_partitioned(built):

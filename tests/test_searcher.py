@@ -1,4 +1,6 @@
 """HarmonySearcher build path: modes, plans, config validation."""
+import uuid
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ def test_fixed_modes_have_no_planned_cost(built):
 def test_with_engine_shares_index(built):
     s = built["harmony"]
     s2 = s.with_engine(use_pruning=False)
-    assert s2.dindex is s.dindex
+    assert s2.di is s.di
     assert s2.engine.use_pruning is False
     assert s.engine.use_pruning is True
 
@@ -52,9 +54,35 @@ def test_with_engine_overrides_schedule_and_waves(built):
     assert s2.engine.n_waves == 1
 
 
-def test_di_alias(built):
-    s = built["harmony"]
-    assert s.di is s.dindex
+def test_with_engine_keeps_knobs_not_overridden(built):
+    s2 = built["dimension"].with_engine(n_waves=1).with_engine(
+        schedule="static")
+    assert s2.engine.n_waves == 1
+    assert s2.engine.schedule == "static"
+
+
+def test_with_engine_rejects_unknown_knob(built):
+    with pytest.raises(ValueError, match="nwaves"):
+        built["dimension"].with_engine(nwaves=1)
+
+
+def test_build_runs_three_spark_jobs(spark, ds):
+    # Train (Arrow sample), routing table, and the cell job that also
+    # returns the prewarm heads.
+    sc = spark.sparkContext
+    group = f"test-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, group)
+    try:
+        s = HarmonySearcher.build(
+            spark, ds["df"],
+            HarmonyConfig(n_nodes=4, mode="dimension", nlist=8,
+                          prewarm_per_cluster=4),
+        )
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    s.di.unpersist()
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) == 3
 
 
 def test_search_delegates(built, ds, baseline_ref):
