@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.machine import MachineModel
-from repro.ivf.index import IVFIndex, check_search_args, probe_clusters
+from repro.ivf.index import (IVFIndex, check_search_args, k_best,
+                             probe_clusters)
 
 
 @dataclass
@@ -34,7 +35,8 @@ class BaselineResult:
 def search_ivf_flat(
     index: IVFIndex, queries: np.ndarray, k: int, nprobe: int
 ) -> BaselineResult:
-    """Exact top-``k`` over each query's ``nprobe`` nearest clusters.
+    """Exact top-``k`` over each query's ``nprobe`` nearest clusters, the
+    ``k`` best by ``(distance, id)``.
 
     A bad ``queries``, ``k`` or ``nprobe`` raises ``ValueError``.
     """
@@ -58,10 +60,7 @@ def search_ivf_flat(
             continue
         d = np.concatenate(cand_d)
         ids = np.concatenate(cand_ids)
-        kk = min(k, len(d))
-        part = np.argpartition(d, kk - 1)[:kk]
-        order = np.argsort(d[part], kind="stable")
-        sel = part[order]
-        out_ids[q, :kk] = ids[sel]
-        out_d[q, :kk] = d[sel]
+        sel = k_best(d, ids, k)
+        out_ids[q, :len(sel)] = ids[sel]
+        out_d[q, :len(sel)] = d[sel]
     return BaselineResult(out_ids, out_d, ops)

@@ -2,12 +2,12 @@
 
 One simulated worker node = one Spark RDD partition. Grid cell ``(v, b)``
 (vector shard ``v`` × dimension block ``b``) is routed to partition
-``plan.cell_node(v, b)`` by a **custom partitioner** over cell keys —
+``plan.cell_node(v, b)`` by a **custom partitioner** over node keys —
 the Spark analog of Harmony assigning index blocks to MPI ranks. Each
-partition materializes a :class:`CellStore` holding its clusters' vector
-rows restricted to its dimension block, as one contiguous matrix; the
-driver keeps the client-side routing table (centroids, per-cluster id
-lists, prewarm sample).
+partition materializes a :class:`CellStore` holding its shard's vector
+rows restricted to its dimension block, as one contiguous matrix in the
+order :func:`shard_rows` fixes; the driver keeps the client-side routing
+table (centroids, per-cluster id lists, prewarm sample).
 """
 from __future__ import annotations
 
@@ -34,29 +34,13 @@ ACCUM_BYTES_PER_VECTOR = 12
 class CellStore:
     """One grid cell's storage on its worker node.
 
-    ``mat`` is one contiguous ``(rows, block_dims)`` float32 matrix of the
-    cell's vectors restricted to its dimension block. It holds the
-    clusters ``cluster_list`` in ascending order, cluster
-    ``cluster_list[i]`` at rows ``offsets[i]:offsets[i + 1]``, and each
-    cluster's rows sorted by ascending vector id (the canonical order
-    shared with the driver's routing table, so row positions line up).
-    ``clusters[c]`` is cluster ``c``'s view into ``mat``."""
+    ``mat`` is one contiguous ``(rows, block_dims)`` float32 matrix: the
+    rows of vector shard ``vblock`` in :func:`shard_rows` order, restricted
+    to dimension block ``dimblock``."""
 
     vblock: int
     dimblock: int
     mat: np.ndarray = field(repr=False)
-    cluster_list: np.ndarray = field(repr=False)
-    offsets: np.ndarray = field(repr=False)
-
-    @property
-    def clusters(self) -> dict[int, np.ndarray]:
-        """``{cluster: (size_c, block_dims) view into mat}``."""
-        return {
-            int(c): self.mat[a:b]
-            for c, a, b in zip(
-                self.cluster_list, self.offsets[:-1], self.offsets[1:]
-            )
-        }
 
     def nbytes(self) -> int:
         """Bytes of vector data stored in this cell."""
@@ -69,8 +53,8 @@ class DistributedIndex:
 
     plan: PartitionPlan
     centroids: np.ndarray
-    #: Per-cluster vector ids, ascending — row ``p`` of a cell's cluster
-    #: matrix is the vector ``cluster_ids[c][p]`` (client routing table).
+    #: Per-cluster vector ids, ascending (client routing table); cell rows
+    #: follow it in :func:`shard_rows` order.
     cluster_ids: list[np.ndarray]
     #: Client-side prewarm sample: first rows of each cluster, full dims.
     prewarm_rows: dict[int, np.ndarray]
@@ -94,36 +78,17 @@ class DistributedIndex:
         return np.array([len(i) for i in self.cluster_ids])
 
     def shard_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(row0, base, ids)``: where each cluster's rows sit.
-
-        Every cell of vector shard ``v`` stores the shard's clusters in
-        ascending order (see :class:`CellStore`), so cluster ``c`` is rows
-        ``row0[c]:row0[c] + size_c`` of them. ``ids[base[v] + row]`` is
-        the vector id of row ``row`` of shard ``v``."""
-        c2v = np.asarray(self.plan.cluster_to_vblock)
-        sizes = self.cluster_sizes()
-        order = np.lexsort((np.arange(self.nlist), c2v))
-        row = np.empty(self.nlist, dtype=np.int64)
-        row[order] = np.cumsum(sizes[order]) - sizes[order]
-        shard = np.bincount(c2v, weights=sizes, minlength=self.plan.b_vec)
-        base = (np.cumsum(shard) - shard).astype(np.int64)
-        ids = np.concatenate([self.cluster_ids[c] for c in order])
-        return row - base[c2v], base, ids
+        """:func:`shard_rows` of this index."""
+        return shard_rows(self.plan, self.cluster_ids)
 
     def node_accumulator_bytes(self) -> np.ndarray:
         """Pre-allocated partial-result buffer per node (0 when
         ``B_dim = 1`` — vector partitioning needs no accumulators)."""
-        out = np.zeros(self.plan.n_nodes)
         if self.plan.b_dim == 1:
-            return out
-        sizes = self.cluster_sizes()
-        shard_count = np.zeros(self.plan.b_vec)
-        for c, v in enumerate(self.plan.cluster_to_vblock):
-            shard_count[v] += sizes[c]
-        for n in range(self.plan.n_nodes):
-            v, _ = self.plan.node_cell(n)
-            out[n] = ACCUM_BYTES_PER_VECTOR * shard_count[v]
-        return out
+            return np.zeros(self.plan.n_nodes)
+        _, base, ids = self.shard_rows()
+        shard = np.diff(base, append=len(ids)).astype(float)
+        return ACCUM_BYTES_PER_VECTOR * np.repeat(shard, self.plan.b_dim)
 
     def node_memory_bytes(self) -> np.ndarray:
         """Per-node resident index memory: cell data + accumulators.
@@ -133,6 +98,27 @@ class DistributedIndex:
     def unpersist(self) -> None:
         """Release the cached worker cells."""
         self.rdd.unpersist()
+
+
+def shard_rows(
+    plan: PartitionPlan, cluster_ids: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row0, base, ids)``: the one rule for where each vector lives.
+
+    Vector shard ``v`` holds its clusters in ascending order, each
+    cluster's rows in ``cluster_ids`` order, so cluster ``c`` is rows
+    ``row0[c]:row0[c] + size_c`` of its shard, and ``ids[base[v] + row]``
+    is the vector id of row ``row`` of shard ``v`` in every cell of the
+    shard."""
+    c2v = np.asarray(plan.cluster_to_vblock)
+    sizes = np.array([len(i) for i in cluster_ids])
+    order = np.argsort(c2v, kind="stable")
+    row = np.empty(len(sizes), dtype=np.int64)
+    row[order] = np.cumsum(sizes[order]) - sizes[order]
+    shard = np.bincount(c2v, weights=sizes, minlength=plan.b_vec)
+    base = (np.cumsum(shard) - shard).astype(np.int64)
+    ids = np.concatenate([cluster_ids[c] for c in order])
+    return row - base[c2v], base, ids
 
 
 def train_centroids(df: DataFrame, nlist: int, seed: int = 0) -> np.ndarray:
@@ -149,11 +135,12 @@ def train_centroids(df: DataFrame, nlist: int, seed: int = 0) -> np.ndarray:
 
 def assign_vectors(
     spark: SparkSession, df: DataFrame, centroids: np.ndarray
-) -> DataFrame:
-    """Nearest-centroid assignment ("Add" stage): DataFrame
-    ``(id, cluster, vec)`` via ``mapInPandas`` over broadcast centroids."""
+) -> list[np.ndarray]:
+    """Nearest-centroid assignment ("Add" stage): the client routing
+    table, per-cluster vector ids ascending, from one collection of the
+    ``(id, cluster)`` pairs a ``mapInPandas`` over broadcast centroids
+    yields."""
     import pandas as pd
-    from pyspark.sql import types as T
 
     bc = spark.sparkContext.broadcast(centroids)
 
@@ -163,110 +150,92 @@ def assign_vectors(
 
         for pdf in batches:
             x = np.asarray(list(pdf["vec"]), dtype=np.float32)
-            pdf = pdf.copy()
-            pdf["cluster"] = assign_clusters(bc.value, x)
             yield pd.DataFrame(
-                {"id": pdf["id"], "cluster": pdf["cluster"], "vec": pdf["vec"]}
+                {"id": pdf["id"], "cluster": assign_clusters(bc.value, x)}
             )
 
-    schema = T.StructType(
-        [
-            T.StructField("id", T.LongType(), False),
-            T.StructField("cluster", T.LongType(), False),
-            T.StructField("vec", T.ArrayType(T.FloatType(), False), False),
-        ]
-    )
-    return df.mapInPandas(assign, schema=schema)
-
-
-def routing_table(assigned: DataFrame, nlist: int) -> list[np.ndarray]:
-    """The client routing table: per-cluster vector ids, ascending, from
-    one ``(cluster, id)`` collection of an assigned vector table."""
-    pdf = assigned.select("cluster", "id").toPandas()
-    grouped = pdf.sort_values("id").groupby("cluster")["id"]
-    by_cluster = {int(c): v.to_numpy(dtype=np.int64) for c, v in grouped}
-    return [by_cluster.get(c, np.empty(0, dtype=np.int64))
-            for c in range(nlist)]
+    pdf = df.mapInPandas(assign, "id long, cluster long").toPandas()
+    ids, cluster = pdf["id"].to_numpy(), pdf["cluster"].to_numpy()
+    sizes = np.bincount(cluster, minlength=len(centroids))
+    return np.split(ids[np.lexsort((ids, cluster))], np.cumsum(sizes)[:-1])
 
 
 def distribute(
-    assigned: DataFrame,
+    df: DataFrame,
     plan: PartitionPlan,
     centroids: np.ndarray,
     cluster_ids: list[np.ndarray],
     prewarm_per_cluster: int = 32,
 ) -> DistributedIndex:
-    """Lay an assigned vector table out on the simulated cluster.
+    """Lay a base vector table ``(id, vec)`` out on the simulated cluster
+    (the "Pre-assign" stage; ``cluster_ids`` is :func:`assign_vectors`').
 
-    Splits every row into ``B_dim`` dimension slices keyed by grid cell,
-    then ``partitionBy(n_nodes, cell→node)`` — the custom partitioner —
-    places each cell on its node, where slices are merged into a
-    :class:`CellStore` (rows id-sorted). The one job that materialises the
-    cells also returns each cell's size and the first
-    ``prewarm_per_cluster`` rows of each of its clusters, which the driver
-    joins across dimension blocks into the client's prewarm sample. The
-    "Pre-assign" stage; ``cluster_ids`` is :func:`routing_table`'s.
+    A ``mapInPandas`` over ``df`` emits, per Arrow batch, one record per
+    grid cell: the batch rows' positions in their shard (:func:`shard_rows`,
+    looked up by id) and their slice of the cell's dimension block.
+    ``partitionBy(n_nodes)`` — the custom partitioner, keyed by node —
+    sends each record to its cell's node, which scatters the rows into one
+    :class:`CellStore`. The one job that materialises the cells also
+    returns each cell's size and the first ``prewarm_per_cluster`` rows of
+    each of its clusters, which the driver joins across dimension blocks
+    into the client's prewarm sample.
     """
+    import pandas as pd
+
     c2v = np.asarray(plan.cluster_to_vblock)
-    bounds = plan.dim_bounds
-    b_dim = plan.b_dim
-
-    # Worker cells via the custom cell->node partitioner.
-    @spark_task
-    def to_slices(rows_iter):
-        ids, cs, vecs = [], [], []
-        for r in rows_iter:
-            ids.append(r["id"])
-            cs.append(r["cluster"])
-            vecs.append(r["vec"])
-        if not ids:
-            return
-        ids_a = np.asarray(ids, dtype=np.int64)
-        cs_a = np.asarray(cs, dtype=np.int64)
-        x = np.asarray(vecs, dtype=np.float32)
-        for c in np.unique(cs_a):
-            m = cs_a == c
-            v = int(c2v[c])
-            for b, (lo, hi) in enumerate(bounds):
-                yield (
-                    (v, b),
-                    (int(c), ids_a[m], np.ascontiguousarray(x[m, lo:hi])),
-                )
+    bounds, b_dim = plan.dim_bounds, plan.b_dim
+    row0, base, ids = shard_rows(plan, cluster_ids)
+    shard_size = np.diff(base, append=len(ids))
+    # Workers find a vector's shard position by id: the sorted ids, and
+    # the position of each.
+    by_id = np.argsort(ids)
+    lookup = df.sparkSession.sparkContext.broadcast((ids[by_id], by_id))
 
     @spark_task
-    def build_cells(kv_iter):
-        chunks: dict[tuple[int, int], dict[int, list]] = {}
-        for (v, b), (c, ids_a, mat) in kv_iter:
-            chunks.setdefault((v, b), {}).setdefault(c, []).append(
-                (ids_a, mat)
-            )
-        for (v, b), per_cluster in chunks.items():
-            cluster_list = np.array(sorted(per_cluster), dtype=np.int64)
-            mats = []
-            for c in cluster_list:
-                parts = per_cluster[int(c)]
-                ids_a = np.concatenate([p[0] for p in parts])
-                mat = np.concatenate([p[1] for p in parts], axis=0)
-                mats.append(mat[np.argsort(ids_a)])  # id-ascending rows
-            offsets = np.cumsum([0] + [len(m) for m in mats])
-            yield CellStore(v, b, np.concatenate(mats, axis=0),
-                            cluster_list, offsets)
+    def cell_parts(batches):
+        sorted_ids, pos_of = lookup.value
+        for pdf in batches:
+            pos = pos_of[np.searchsorted(sorted_ids, pdf["id"].to_numpy())]
+            shard = np.searchsorted(base, pos, "right") - 1
+            x = np.asarray(list(pdf["vec"]), dtype=np.float32)
+            parts = []
+            for v in np.unique(shard):
+                m = shard == v
+                rows = (pos[m] - base[v]).tobytes()
+                parts += [(plan.cell_node(v, b),
+                           [rows, np.ascontiguousarray(x[m, lo:hi]).tobytes()])
+                          for b, (lo, hi) in enumerate(bounds)]
+            yield pd.DataFrame(parts, columns=["node", "cell"])
+
+    @spark_task
+    def build_cells(parts):
+        mat = None
+        for node, (rows, block) in parts:
+            v, b = plan.node_cell(node)
+            if mat is None:
+                mat = np.empty((shard_size[v], plan.block_dims(b)),
+                               dtype=np.float32)
+            rows = np.frombuffer(rows, dtype=np.int64)
+            mat[rows] = np.frombuffer(block, np.float32).reshape(len(rows), -1)
+        if mat is not None:
+            yield CellStore(v, b, mat)
 
     rdd = (
-        assigned.rdd.mapPartitions(to_slices)
-        .partitionBy(plan.n_nodes, lambda key: key[0] * b_dim + key[1])
+        df.mapInPandas(cell_parts, "node long, cell array<binary>").rdd
+        .partitionBy(plan.n_nodes, lambda node: node)
         .mapPartitions(build_cells)
         .persist(StorageLevel.MEMORY_ONLY)
     )
+    sizes = np.array([len(i) for i in cluster_ids])
+    # A short cluster's head stops at its last row, not in the next one.
+    head = np.minimum(sizes, prewarm_per_cluster)
 
     @spark_task
     def cell_bytes(cells):
-        # A cluster's view ends at its last row, so a head never runs into
-        # the next cluster.
         for cell in cells:
-            yield (cell.vblock * b_dim + cell.dimblock, cell.nbytes(),
-                   {c: m[:prewarm_per_cluster]
-                    for c, m in cell.clusters.items()})
+            yield (plan.cell_node(cell.vblock, cell.dimblock), cell.nbytes(),
+                   {int(c): cell.mat[row0[c]:row0[c] + head[c]]
+                    for c in plan.clusters_of_vblock(cell.vblock)})
 
     node_bytes = np.zeros(plan.n_nodes)
     heads = {}
@@ -276,7 +245,7 @@ def distribute(
     # Prewarm sample: first rows of every cluster, full dimensionality.
     prewarm_rows = {
         c: np.hstack([heads[c2v[c], b][c] for b in range(b_dim)])
-        for c, ids in enumerate(cluster_ids) if len(ids)
+        for c, n in enumerate(sizes) if n
     }
     return DistributedIndex(
         plan=plan,

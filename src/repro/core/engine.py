@@ -117,7 +117,7 @@ class _Round:
     """One vector-pipeline round as flat arrays. Per task: query, shard,
     wave, block ``order`` by position, and (one longer) ``first`` candidate
     and segment ``seg0``. ``segs`` is ``(n_segs, 2)`` int32 ``(row0, len)``;
-    ``rows`` is :meth:`DistributedIndex.shard_rows`."""
+    ``rows`` is :func:`~repro.cluster.layout.shard_rows`."""
 
     q: np.ndarray
     v: np.ndarray
@@ -207,13 +207,11 @@ class HarmonyEngine:
     def __init__(
         self,
         di: DistributedIndex,
-        machine: MachineModel | None = None,
         schedule: str = "rotate",
         use_pruning: bool = True,
         n_waves: int = 4,
     ):
         self.di = di
-        self.machine = machine or MachineModel()
         self.schedule = schedule
         self.use_pruning = use_pruning
         #: Candidate waves per round; 1 disables intra-round pipelining

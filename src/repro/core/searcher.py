@@ -2,25 +2,25 @@
 
 Mirrors the paper's ``-Mode`` parameter: ``harmony`` (adaptive grid via
 the cost model), ``vector`` (Harmony-vector, ``B_dim=1``) and
-``dimension`` (Harmony-dimension, ``B_vec=1``), plus the pruning /
-scheduling / α knobs of §5 "Parameters".
+``dimension`` (Harmony-dimension, ``B_vec=1``), plus the pruning and
+scheduling knobs of §5 "Parameters". The cost model's α is 1 and its
+machine is the default :class:`~repro.cluster.machine.MachineModel`.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+from pyspark import StorageLevel
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.cluster.layout import (
     DistributedIndex,
     assign_vectors,
     distribute,
-    routing_table,
     train_centroids,
 )
-from repro.cluster.machine import MachineModel
 from repro.core.cost_model import (
     CostBreakdown,
     CostParams,
@@ -39,19 +39,16 @@ class HarmonyConfig:
     """Build/search configuration (the paper's CLI parameters).
 
     ``n_nodes`` = ``-NMachine``; ``use_pruning`` =
-    ``-Pruning_Configuration``; ``nlist`` = indexing parameter; ``alpha``
-    = the cost model's imbalance weight; ``mode`` = ``-Mode``.
+    ``-Pruning_Configuration``; ``nlist`` = indexing parameter;
+    ``mode`` = ``-Mode``.
     """
 
     n_nodes: int = 4
     mode: str = "harmony"
     nlist: int = 64
-    seed: int = 0
     schedule: str = "rotate"
     use_pruning: bool = True
     prewarm_per_cluster: int = 32
-    machine: MachineModel = field(default_factory=MachineModel)
-    alpha: float = 1.0
     balanced: bool = True
     #: Planner hints when no profile queries are supplied.
     nprobe_hint: int = 8
@@ -60,6 +57,37 @@ class HarmonyConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode {self.mode!r} not in {MODES}")
+
+
+def _plan(config, centroids, sizes, profile_queries):
+    """``(plan, cost)``: the grid for ``config.mode`` ("Plan" stage);
+    ``cost`` is the planner's breakdown, None for the fixed modes."""
+    dim = centroids.shape[1]
+    if profile_queries is not None:
+        profile = QueryProfile.from_queries(
+            centroids, sizes, np.asarray(profile_queries, np.float32),
+            config.nprobe_hint, config.k_hint,
+        )
+    else:
+        profile = QueryProfile.uniform(
+            len(centroids), dim, sizes, n_queries=100,
+            nprobe=config.nprobe_hint, k=config.k_hint,
+        )
+    # Fixed modes model the *traditional* distribution: clusters are
+    # packed by size alone, blind to the query workload (paper §6.1's
+    # Harmony-vector / Harmony-dimension baselines). Only adaptive
+    # harmony packs by expected load (probe-weighted).
+    if config.mode == "vector":
+        return make_plan(config.n_nodes, config.n_nodes, 1, dim, sizes,
+                         config.balanced), None
+    if config.mode == "dimension":
+        return make_plan(config.n_nodes, 1, config.n_nodes, dim, sizes,
+                         config.balanced), None
+    return choose_plan(
+        config.n_nodes, profile,
+        CostParams(pruning_prior=0.6 if config.use_pruning else 0.0),
+        balanced=config.balanced,
+    )
 
 
 @dataclass
@@ -82,66 +110,42 @@ class HarmonySearcher:
     ) -> "HarmonySearcher":
         """Train, add, plan and pre-assign the index (Fig. 10 stages) in
         three Spark jobs: the train sample, the routing table (which gives
-        the planner its cluster sizes) and the cells.
+        the planner its cluster sizes) and the cells. ``df`` is persisted
+        for the build unless it is cached already.
 
         ``profile_queries`` — an optional sample workload the cost model
         profiles for skew; without it a uniform profile is assumed.
         ``centroids`` — an existing clustering to distribute (paper §6.1:
         all methods share one); without it the Train stage runs here.
         """
-        train_s = 0.0
-        if centroids is None:
+        # Train, Add and Pre-assign all read the base vectors: generate
+        # them once, and leave the caller's cache state as it was.
+        cached = df.storageLevel != StorageLevel.NONE
+        if not cached:
+            df.persist()
+        try:
+            train_s = 0.0
+            if centroids is None:
+                t0 = time.perf_counter()
+                centroids = train_centroids(df, config.nlist)
+                train_s = time.perf_counter() - t0
+
             t0 = time.perf_counter()
-            centroids = train_centroids(df, config.nlist, seed=config.seed)
-            train_s = time.perf_counter() - t0
+            cluster_ids = assign_vectors(spark, df, centroids)
+            sizes = np.array([len(ids) for ids in cluster_ids], np.float64)
+            add_s = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        adf = assign_vectors(spark, df, centroids).persist()
-        cluster_ids = routing_table(adf, len(centroids))
-        sizes = np.array([len(ids) for ids in cluster_ids], np.float64)
-        add_s = time.perf_counter() - t0
-
-        dim = centroids.shape[1]
-        if profile_queries is not None:
-            profile = QueryProfile.from_queries(
-                centroids, sizes, np.asarray(profile_queries, np.float32),
-                config.nprobe_hint, config.k_hint,
-            )
-        else:
-            profile = QueryProfile.uniform(
-                len(centroids), dim, sizes, n_queries=100,
-                nprobe=config.nprobe_hint, k=config.k_hint,
-            )
-        cost = None
-        # Fixed modes model the *traditional* distribution: clusters are
-        # packed by size alone, blind to the query workload (paper §6.1's
-        # Harmony-vector / Harmony-dimension baselines). Only adaptive
-        # harmony packs by expected load (probe-weighted).
-        if config.mode == "vector":
-            plan = make_plan(config.n_nodes, config.n_nodes, 1, dim,
-                             sizes, config.balanced)
-        elif config.mode == "dimension":
-            plan = make_plan(config.n_nodes, 1, config.n_nodes, dim,
-                             sizes, config.balanced)
-        else:
-            plan, cost = choose_plan(
-                config.n_nodes, profile,
-                CostParams(
-                    config.machine, config.alpha,
-                    pruning_prior=0.6 if config.use_pruning else 0.0,
-                ),
-                balanced=config.balanced,
-            )
-        t0 = time.perf_counter()
-        di = distribute(adf, plan, centroids, cluster_ids,
-                        config.prewarm_per_cluster)
-        di.build_seconds = {"train": train_s, "add": add_s,
-                            "preassign": time.perf_counter() - t0}
-        adf.unpersist()
-        engine = HarmonyEngine(
-            di, machine=config.machine, schedule=config.schedule,
-            use_pruning=config.use_pruning,
-        )
+            plan, cost = _plan(config, centroids, sizes, profile_queries)
+            t0 = time.perf_counter()
+            di = distribute(df, plan, centroids, cluster_ids,
+                            config.prewarm_per_cluster)
+            di.build_seconds = {"train": train_s, "add": add_s,
+                                "preassign": time.perf_counter() - t0}
+        finally:
+            if not cached:
+                df.unpersist()
+        engine = HarmonyEngine(di, schedule=config.schedule,
+                               use_pruning=config.use_pruning)
         return cls(di, config, engine, cost)
 
     def search(
@@ -152,19 +156,16 @@ class HarmonySearcher:
 
     def with_engine(self, **overrides) -> "HarmonySearcher":
         """A sibling searcher sharing the built index but with engine
-        knobs overridden (schedule, use_pruning, machine, n_waves) — used
+        knobs overridden (schedule, use_pruning, n_waves) — used
         by the ablation experiments without re-distributing the index.
         Knobs not overridden keep this searcher's values; any other key
         raises ``ValueError``."""
-        unknown = set(overrides) - {"schedule", "use_pruning", "machine",
-                                    "n_waves"}
+        unknown = set(overrides) - {"schedule", "use_pruning", "n_waves"}
         if unknown:
             raise ValueError(
                 f"with_engine() cannot override {sorted(unknown)}")
         n_waves = overrides.pop("n_waves", self.engine.n_waves)
         cfg = replace(self.config, **overrides)
-        eng = HarmonyEngine(
-            self.di, machine=cfg.machine, schedule=cfg.schedule,
-            use_pruning=cfg.use_pruning, n_waves=n_waves,
-        )
+        eng = HarmonyEngine(self.di, schedule=cfg.schedule,
+                            use_pruning=cfg.use_pruning, n_waves=n_waves)
         return HarmonySearcher(self.di, cfg, eng, self.planned_cost)

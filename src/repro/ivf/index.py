@@ -117,6 +117,15 @@ def check_search_args(
     return queries
 
 
+def k_best(dists: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest ``(dists, ids)`` pairs, best first:
+    distance ties are cut by id, as :class:`~repro.core.pruning.TopK`
+    cuts them."""
+    k = min(k, len(dists))
+    near = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
+    return near[np.lexsort((ids[near], dists[near]))[:k]]
+
+
 def probe_clusters(
     centroids: np.ndarray, queries: np.ndarray, nprobe: int
 ) -> np.ndarray:

@@ -117,3 +117,17 @@ def test_search_ivf_flat_rejects_bad_input(setup, case):
     args = {"queries": q, "k": 3, "nprobe": 2, **kwargs}
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         search_ivf_flat(ivf, **args)
+
+
+def test_ties_cut_by_id():
+    # Duplicated small-integer rows tie exactly in every summation order;
+    # both baselines keep the k best by (distance, id), as TopK does.
+    rng = np.random.default_rng(0)
+    x = np.repeat(rng.integers(0, 3, (40, 8)), 4, axis=0)
+    x = x[rng.permutation(len(x))].astype(np.float32)
+    q = rng.integers(0, 3, (20, 8)).astype(np.float32)
+    d = ((q[:, None] - x[None]) ** 2).sum(-1)
+    want = np.argsort(d, axis=1, kind="stable")[:, :10]
+    np.testing.assert_array_equal(exact_knn(x, q, 10)[0], want)
+    res = search_ivf_flat(build_ivf(x, 4), q, k=10, nprobe=4)
+    np.testing.assert_array_equal(res.ids, want)

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.cluster.layout import train_centroids
+from repro.cluster.layout import (ACCUM_BYTES_PER_VECTOR, DistributedIndex,
+                                  shard_rows, train_centroids)
+from repro.core.partition import make_plan
 from repro.ivf import index
 from repro.ivf.kmeans import kmeans
 from tests.conftest import TEST_NLIST
@@ -43,16 +45,24 @@ def test_no_replication_total_bytes(built, ds):
 
 
 def test_cell_rows_are_id_sorted_slices(built, ds):
-    # Worker rows must align with the driver routing table: row p of a
-    # cell's cluster matrix is vector cluster_ids[c][p]'s dim slice.
-    s = built["dimension"]
+    # Worker rows must align with the driver routing table: a cell of
+    # shard v holds the vectors ids[base[v]:base[v] + n_v] restricted to
+    # its dimension block, cluster c at rows row0[c]:row0[c] + size_c in
+    # id order (shard_rows), for every mode.
     x = ds["x"]
-    plan = s.di.plan
-    for _, cell in _cells(s):
-        lo, hi = plan.dim_bounds[cell.dimblock]
-        for c, mat in cell.clusters.items():
-            ids = s.di.cluster_ids[c]
-            np.testing.assert_array_equal(mat, x[ids, lo:hi])
+    for mode in ("harmony", "vector", "dimension"):
+        di = built[mode].di
+        row0, base, ids = shard_rows(di.plan, di.cluster_ids)
+        for _, cell in _cells(built[mode]):
+            lo, hi = di.plan.dim_bounds[cell.dimblock]
+            clusters = di.plan.clusters_of_vblock(cell.vblock)
+            n_v = sum(len(di.cluster_ids[c]) for c in clusters)
+            shard = ids[base[cell.vblock]:base[cell.vblock] + n_v]
+            np.testing.assert_array_equal(cell.mat, x[shard, lo:hi])
+            for c in clusters:
+                rows = cell.mat[row0[c]:row0[c] + len(di.cluster_ids[c])]
+                np.testing.assert_array_equal(rows,
+                                              x[di.cluster_ids[c], lo:hi])
 
 
 def test_cluster_ids_cover_dataset(built, ds):
@@ -102,6 +112,21 @@ def test_accumulator_bytes_only_for_dim_partitioned(built):
     assert built["vector"].di.node_accumulator_bytes().sum() == 0
     dim_acc = built["dimension"].di.node_accumulator_bytes()
     assert np.all(dim_acc > 0)
+
+
+def test_accumulator_bytes_count_shard_vectors():
+    # A 2x2 grid: every node of shard v pre-allocates one accumulator
+    # slot per vector of v (the per-cluster loop is the reference).
+    sizes = np.array([5, 0, 7, 3, 2])
+    plan = make_plan(4, 2, 2, 8, sizes)
+    di = DistributedIndex(plan, np.zeros((5, 8)),
+                          [np.arange(n) for n in sizes], {}, None,
+                          np.zeros(4))
+    want = np.zeros(4)
+    for c, v in enumerate(plan.cluster_to_vblock):
+        for b in range(plan.b_dim):
+            want[plan.cell_node(v, b)] += ACCUM_BYTES_PER_VECTOR * sizes[c]
+    np.testing.assert_array_equal(di.node_accumulator_bytes(), want)
 
 
 def test_node_memory_is_index_plus_accumulators(built):

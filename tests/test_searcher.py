@@ -3,9 +3,11 @@ import uuid
 
 import numpy as np
 import pytest
+from pyspark import StorageLevel
 
 from repro.core.searcher import MODES, HarmonyConfig, HarmonySearcher
-from tests.conftest import TEST_K, TEST_NPROBE
+from repro.vectors.generate import base_spark
+from tests.conftest import TEST_K, TEST_NPROBE, TEST_SF
 
 
 def test_invalid_mode_rejected():
@@ -62,8 +64,24 @@ def test_with_engine_keeps_knobs_not_overridden(built):
 
 
 def test_with_engine_rejects_unknown_knob(built):
-    with pytest.raises(ValueError, match="nwaves"):
-        built["dimension"].with_engine(nwaves=1)
+    # ``machine`` re-plans nothing, so it is not an engine knob either.
+    for knob in ("nwaves", "machine"):
+        with pytest.raises(ValueError, match=knob):
+            built["dimension"].with_engine(**{knob: 1})
+
+
+def test_build_leaves_input_cache_state(spark, ds):
+    # The build caches an uncached input for its own reads only; a cached
+    # input stays cached.
+    cfg = HarmonyConfig(n_nodes=2, mode="vector", nlist=8,
+                        prewarm_per_cluster=4)
+    for cache in (False, True):
+        df = base_spark(spark, ds["spec"], TEST_SF)
+        if cache:
+            df.cache()
+        HarmonySearcher.build(spark, df, cfg).di.unpersist()
+        assert (df.storageLevel != StorageLevel.NONE) == cache
+        df.unpersist()
 
 
 def test_build_runs_three_spark_jobs(spark, ds):

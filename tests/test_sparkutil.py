@@ -118,7 +118,7 @@ def test_every_spark_function_is_wrapped(spark, ds, monkeypatch):
         s.di.unpersist()
     assert {(name, f.__name__) for name, f in seen} == {
         ("mapInPandas", "gen"), ("mapInPandas", "assign"),
-        ("mapPartitions", "to_slices"), ("mapPartitions", "build_cells"),
+        ("mapInPandas", "cell_parts"), ("mapPartitions", "build_cells"),
         ("mapPartitions", "cell_bytes"), ("mapPartitions", "scan"),
     }
     assert all(f.__code__ is task_code for _, f in seen)
