@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.baseline.faiss_lite import search_ivf_flat
+from repro.cluster.layout import distribute
+from repro.core.partition import make_plan
 from repro.core.searcher import HarmonyConfig, HarmonySearcher
 from repro.ivf.index import build_ivf
 from repro.vectors.generate import base_numpy, base_spark, queries_numpy
@@ -47,6 +49,17 @@ def built(spark, ds):
     yield out
     for s in out.values():
         s.di.unpersist()
+
+
+@pytest.fixture(scope="session")
+def hybrid(ds):
+    """The shared clustering distributed on a 2×2 grid (B_vec = B_dim = 2):
+    the one layout whose searches run vector rounds of dimension stages."""
+    ivf = ds["ivf"]
+    plan = make_plan(4, 2, 2, ivf.dim, ivf.cluster_sizes())
+    di = distribute(ds["df"], plan, ivf.centroids, ivf.cluster_ids, 8)
+    yield di
+    di.unpersist()
 
 
 @pytest.fixture(scope="session")

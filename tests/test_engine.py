@@ -8,6 +8,7 @@ import pytest
 
 from repro.baseline.faiss_lite import search_ivf_flat
 from repro.cluster.machine import MachineModel
+from repro.core.engine import HarmonyEngine
 from repro.core.router import dim_order
 from repro.core.searcher import HarmonyConfig, HarmonySearcher
 from repro.ivf.index import probe_clusters
@@ -246,6 +247,23 @@ def test_dimension_mode_runs_one_job_per_global_stage(built, ds):
     s = built["dimension"]
     _, jobs = _search_counting_jobs(s, ds["q"])
     assert jobs == s.di.plan.b_dim + s.engine.n_waves - 1
+
+
+@pytest.mark.parametrize("schedule", ["static", "rotate", "load_aware"])
+@pytest.mark.parametrize("n_waves", [1, 2, 4, 7])
+def test_hybrid_grid_exact_one_job_per_stage(hybrid, baseline_ref, ds,
+                                             schedule, n_waves):
+    # B_vec = B_dim = 2: each of the B_vec rounds runs B_dim + n_waves - 1
+    # global stages, one Spark job each, labelled in stage order.
+    eng = HarmonyEngine(hybrid, schedule=schedule, n_waves=n_waves)
+    res, jobs = _search_counting_jobs(eng, ds["q"])
+    np.testing.assert_array_equal(res.ids, baseline_ref.ids)
+    assert_same_distances(res.dists, baseline_ref.dists)
+    n_stages = hybrid.plan.b_dim + n_waves - 1
+    assert jobs == hybrid.plan.b_vec * n_stages
+    assert [job for job, _ in res.report.jobs] == [
+        [f"r{r}t{t}"] for r in range(hybrid.plan.b_vec)
+        for t in range(n_stages)]
 
 
 @pytest.mark.parametrize("mode", ["vector", "dimension"])
