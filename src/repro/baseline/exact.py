@@ -4,20 +4,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ivf.index import k_best
-from repro.ivf.kmeans import pairwise_sq_l2
 
 
 def exact_knn(
     base: np.ndarray, queries: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force top-``k``: ``(ids, dists)`` shape ``(Q, k)``, the ``k``
-    best by ``(distance, id)``, in that order."""
-    d2 = pairwise_sq_l2(
-        np.asarray(queries, np.float32), np.asarray(base, np.float32)
-    ).astype(np.float64)
+    best by ``(distance, id)``, in that order. Distances are summed from
+    the differences one query at a time, as ``faiss_lite`` sums them."""
+    base = np.asarray(base, np.float32)
     k, pos = min(k, base.shape[0]), np.arange(base.shape[0])
-    ids = np.array([k_best(d, pos, k) for d in d2], np.int64).reshape(-1, k)
-    return ids, np.take_along_axis(d2, ids, axis=1)
+    ids = np.empty((len(queries), k), np.int64)
+    dists = np.empty((len(queries), k))
+    for i, q in enumerate(np.asarray(queries, np.float32)):
+        diff = base - q
+        d = (diff * diff).sum(axis=1).astype(np.float64)
+        ids[i] = k_best(d, pos, k)
+        dists[i] = d[ids[i]]
+    return ids, dists
 
 
 def recall_at_k(found_ids: np.ndarray, true_ids: np.ndarray) -> float:

@@ -10,7 +10,7 @@ the top-K heaps, and orchestrates the two pipelines —
 * **dimension pipeline** (Alg. 1 ``DimensionPipeline``): within a round,
   each query's candidates are split into ``n_waves`` staggered waves that
   flow through the ``B_dim`` dimension blocks exactly as Fig. 5b's
-  staggered stages: at global stage ``t``, wave ``w`` computes its
+  staggered stages: at stage ``t`` of its round, wave ``w`` computes its
   dimension block number ``t - w`` (per-query block order from the
   scheduler), so all nodes stay busy and — crucially — early waves
   *complete* and tighten ``τ²`` while later waves are still mid-flight.
@@ -18,17 +18,20 @@ the top-K heaps, and orchestrates the two pipelines —
   ``S² > τ²`` between stages (strict monotone test → exact w.r.t. the
   probed clusters).
 
-Data path: a round is flat arrays. A *task* is one (query, wave); tasks
-are ordered by wave, then query, and each is a run of segments
+Data path: a search batch is one task table. A *task* is one (round,
+wave, query); tasks are ordered that way, and each is a run of segments
 ``(row0, len)`` into its shard's contiguous cell rows (:class:`CellStore`).
-Per candidate the driver keeps only ``alive`` and ``S²``. The tasks of a
-global stage are one contiguous slice, sent as a task table, segments and
-packed ``alive`` bits (:func:`_scan_worker`). One Spark job runs each
-global stage when ``B_dim > 1`` (τ² must tighten between stages), and all
-``B_vec`` rounds when ``B_dim = 1`` (workers cut to a local top-k and
-never read τ²). Every stage (a round, when ``B_dim = 1``) is metered on
-its own: per-node ops, bytes down (query slices + survivor sets), bytes
-up (partial sums / local top-k results), messages, transient buffers.
+Round ``r``'s stages follow those of the rounds before it, so each task
+has a global start stage ``t0`` and computes position ``t - t0`` at global
+stage ``t``. Per candidate the driver keeps only ``alive`` and ``S²``. The
+tasks of a global stage are one contiguous slice, sent as a task table,
+segments and packed ``alive`` bits (:func:`_scan_worker`). One Spark job
+runs each global stage when ``B_dim > 1`` (τ² must tighten between
+stages), and all ``B_vec`` rounds when ``B_dim = 1`` (workers cut to a
+local top-k and never read τ²). Every stage (a round, when ``B_dim = 1``)
+is metered on its own: per-node ops, bytes down (query slices + survivor
+sets), bytes up (partial sums / local top-k results), messages, transient
+buffers.
 """
 from __future__ import annotations
 
@@ -113,22 +116,22 @@ class SearchResult:
 
 
 @dataclass
-class _Round:
-    """One vector-pipeline round as flat arrays. Per task: query, shard,
-    wave, block ``order`` by position, and (one longer) ``first`` candidate
-    and segment ``seg0``. ``segs`` is ``(n_segs, 2)`` int32 ``(row0, len)``;
-    ``rows`` is :func:`~repro.cluster.layout.shard_rows`."""
+class _Tasks:
+    """A search batch's tasks as flat arrays. Per task: query, shard, start
+    stage ``t0``, block ``order`` by position, and (one longer) ``first``
+    candidate and segment ``seg0``. ``segs`` is ``(n_segs, 2)`` int32
+    ``(row0, len)``; ``labels[t]`` names global stage ``t``."""
 
     q: np.ndarray
     v: np.ndarray
-    w: np.ndarray
+    t0: np.ndarray
     order: np.ndarray
     first: np.ndarray
     seg0: np.ndarray
     segs: np.ndarray
-    rows: tuple
     alive: np.ndarray
     s2: np.ndarray
+    labels: list[str]
 
 
 def _expand(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -229,7 +232,7 @@ class HarmonyEngine:
         A bad ``queries``, ``k`` or ``nprobe`` raises ``ValueError``.
         """
         di, plan = self.di, self.di.plan
-        b_vec, b_dim = plan.b_vec, plan.b_dim
+        b_dim = plan.b_dim
         queries = check_search_args(queries, di.dim, k, nprobe)
         n_q = len(queries)
         metrics = ClusterMetrics(plan.n_nodes)
@@ -253,85 +256,83 @@ class HarmonyEngine:
             scanned[q] = len(pw)
             metrics.client_ops += len(pw) * di.dim
 
-        # Vector pipeline rounds (Fig. 5a).
-        args = (queries_per_vblock(plan, probes),
-                assign_query_groups(n_q, b_vec), probes, scanned,
-                di.shard_rows(), max(1, self.n_waves) if b_dim > 1 else 1)
-        rounds = [(r, rd) for r in range(b_vec)
-                  if (rd := self._layout(r, *args)) is not None]
+        # Vector pipeline rounds (Fig. 5a) of dimension stages (Fig. 5b).
+        tab = self._layout(probes, scanned,
+                           max(1, self.n_waves) if b_dim > 1 else 1)
         skipped = np.zeros(b_dim)
         jobs: list[tuple[list[str], float]] = []
-        run = partial(self._run_stage, queries=queries, k=k, topk=topk,
+        run = partial(self._run_stage, tab, queries=queries, k=k, topk=topk,
                       metrics=metrics, skipped=skipped, jobs=jobs)
         if b_dim == 1:
             # Whole-vector cells: workers reduce to a local top-k and
             # never read τ², so the rounds share one Spark job.
-            run([(f"r{r}t0", rd, 0) for r, rd in rounds])
-        for r, rd in rounds if b_dim > 1 else ():
-            for t in range(b_dim + int(rd.w[-1])):  # global stages
-                # A task's dimension-block order (scheduler, §4.3) is fixed
-                # when its wave *starts*, so the load-aware policy sees live
-                # node loads (the paper's dynamic reordering, Fig. 5b).
-                loads = metrics.node_ops()
-                for i in range(*np.searchsorted(rd.w, [t, t + 1])):
-                    shard = loads[rd.v[i] * b_dim:(rd.v[i] + 1) * b_dim]
-                    rd.order[i] = dim_order(self.schedule, int(rd.q[i]),
-                                            b_dim, shard)
-                # One stage per job: τ² must tighten between stages.
-                run([(f"r{r}t{t}", rd, t)])
+            run(range(len(tab.labels)))
+        for t in range(len(tab.labels)) if b_dim > 1 else ():
+            # A task's dimension-block order (scheduler, §4.3) is fixed
+            # when its wave *starts*, so the load-aware policy sees live
+            # node loads (the paper's dynamic reordering, Fig. 5b).
+            loads = metrics.node_ops()
+            for i in range(*np.searchsorted(tab.t0, [t, t + 1])):
+                shard = loads[tab.v[i] * b_dim:(tab.v[i] + 1) * b_dim]
+                tab.order[i] = dim_order(self.schedule, int(tab.q[i]),
+                                         b_dim, shard)
+            # One stage per job: τ² must tighten between stages.
+            run([t])
 
-        pairs_total = sum(len(rd.alive) for _, rd in rounds)
-        report = SearchReport(metrics, pairs_total, skipped, b_dim, jobs)
+        report = SearchReport(metrics, len(tab.alive), skipped, b_dim, jobs)
         return SearchResult(*topk.result(), report)
 
     # -----------------------------------------------------------------
-    def _layout(
-        self, r, per_v, groups, probes, scanned, rows, n_waves
-    ) -> _Round | None:
-        """Round ``r`` as flat arrays, or None when it has no candidates.
+    def _layout(self, probes, scanned, n_waves) -> _Tasks:
+        """Every round of the search as one task table.
 
-        Group ``g`` visits shard ``(g+r) mod B_vec``. Each probed cluster's
-        rows (after the prewarmed prefix) are cut into ``n_waves`` chunks of
-        ``np.array_split``'s sizes (the first ``n % n_waves`` one row
-        longer); chunk ``w`` is a segment of task (query, wave ``w``)."""
-        plan = self.di.plan
-        cl = [per_v[(groups[q] + r) % plan.b_vec].get(q, ())
-              for q in range(len(probes))]
-        q = np.repeat(np.arange(len(probes)), [len(x) for x in cl])
-        c = np.concatenate([(), *cl]).astype(np.int64)
-        start = np.where(c == probes[q, 0], scanned[q], 0)
-        size, extra = np.divmod(self.di.cluster_sizes()[c] - start, n_waves)
-        parts = []
-        for w in range(n_waves):
-            n = size + (w < extra)
-            m = n > 0
-            row = rows[0][c[m]] + start[m] + w * size[m]
-            parts.append((np.full(m.sum(), w), q[m],
-                          row + np.minimum(w, extra[m]), n[m]))
-        seg_w, seg_q, seg_row, seg_len = map(np.concatenate, zip(*parts))
-        if not len(seg_q):
-            return None  # no rows left to scan
-        new = np.ones(len(seg_q), dtype=bool)
-        new[1:] = (seg_q[1:] != seg_q[:-1]) | (seg_w[1:] != seg_w[:-1])
-        seg0 = np.append(np.flatnonzero(new), len(seg_q))
-        first = np.append(0, np.cumsum(seg_len))
-        return _Round(
-            q=seg_q[seg0[:-1]], v=(groups[seg_q[seg0[:-1]]] + r) % plan.b_vec,
-            w=seg_w[seg0[:-1]], first=first[seg0], seg0=seg0,
-            order=np.zeros((len(seg0) - 1, plan.b_dim), dtype=np.int64),
-            segs=np.stack([seg_row, seg_len], axis=1).astype(np.int32),
-            rows=rows,
+        Group ``g`` visits shard ``(g+r) mod B_vec`` in round ``r``, so a
+        probe of shard ``v`` runs in round ``(v-g) mod B_vec``. Each probed
+        cluster's rows (after the prewarmed prefix) are cut into ``n_waves``
+        chunks of ``np.array_split``'s sizes (the first ``n % n_waves`` one
+        row longer); chunk ``w`` is a segment of task (round, wave ``w``,
+        query). Round ``r`` runs ``B_dim`` + its last wave's index stages,
+        after those of the rounds before it."""
+        di = self.di
+        b_vec, b_dim = di.plan.b_vec, di.plan.b_dim
+        groups = assign_query_groups(len(probes), b_vec)
+        rnd = (queries_per_vblock(di.plan, probes) - groups[:, None]) % b_vec
+        start = np.zeros_like(probes)
+        start[:, 0] = scanned
+        size, extra = np.divmod(di.cluster_sizes()[probes] - start, n_waves)
+        wave = np.arange(n_waves)[:, None, None]
+        n = size + (wave < extra)
+        row = (di.shard_rows()[0][probes] + start + wave * size
+               + np.minimum(wave, extra))
+        # Segments by (round, wave, query, probe).
+        w, q, p = np.nonzero(n > 0)
+        by_round = np.argsort(rnd[q, p], kind="stable")
+        w, q, p = w[by_round], q[by_round], p[by_round]
+        r = rnd[q, p]
+        new = np.ones(len(q), dtype=bool)
+        new[1:] = np.diff((r * n_waves + w) * len(probes) + q) != 0
+        seg0 = np.append(np.flatnonzero(new), len(q))
+        first = np.append(0, np.cumsum(n[w, q, p]))
+        segs = np.stack([row[w, q, p], n[w, q, p]], axis=1).astype(np.int32)
+        r, w, q = r[seg0[:-1]], w[seg0[:-1]], q[seg0[:-1]]
+        span = np.zeros(b_vec, dtype=np.int64)  # stages per round
+        np.maximum.at(span, r, b_dim + w)
+        return _Tasks(
+            q=q, v=(groups[q] + r) % b_vec, t0=(np.cumsum(span) - span)[r] + w,
+            order=np.zeros((len(q), b_dim), dtype=np.int64),
+            first=first[seg0], seg0=seg0, segs=segs,
             alive=np.ones(first[-1], dtype=bool), s2=np.zeros(first[-1]),
+            labels=[f"r{i}t{t}" for i in range(b_vec) for t in range(span[i])],
         )
 
     # -----------------------------------------------------------------
-    def _run_stage(self, stages, queries, k, topk, metrics, skipped,
+    def _run_stage(self, tab, stages, queries, k, topk, metrics, skipped,
                    jobs) -> None:
-        """Execute pipeline stages as one Spark job and fold results in.
+        """Execute global stages of ``tab`` as one Spark job and fold
+        results in.
 
-        ``stages`` is ``[(label, round, t), ...]``. Global stage ``t`` runs
-        the round's tasks whose wave ``w`` has ``0 <= t - w < B_dim`` (one
-        contiguous slice), each at position ``s = t - w`` on the cell of
+        Stage ``t`` runs the tasks with ``0 <= t - t0 < B_dim`` (one
+        contiguous slice), each at position ``s = t - t0`` on the cell of
         block ``order[s]``. Each stage is metered as its own
         :class:`StageRecord` from its tasks' live counts, sent as its task
         table, segments and packed ``alive`` bits (see :func:`_scan_worker`)
@@ -343,15 +344,15 @@ class HarmonyEngine:
         b_dim, n_nodes = plan.b_dim, plan.n_nodes
         width = np.diff(np.asarray(plan.dim_bounds), axis=1)[:, 0]
         payload, meters = [], []
-        for label, rd, t in stages:
-            ta, tb = np.searchsorted(rd.w, [t - b_dim + 1, t + 1])
-            s = t - rd.w[ta:tb]
-            b = rd.order[np.arange(ta, tb), s]
-            node = rd.v[ta:tb] * b_dim + b
-            ca, cb = rd.first[ta], rd.first[tb]
-            npairs = np.add.reduceat(rd.alive[ca:cb], rd.first[ta:tb] - ca,
+        for t in stages:
+            ta, tb = np.searchsorted(tab.t0, [t - b_dim + 1, t + 1])
+            s = t - tab.t0[ta:tb]
+            b = tab.order[np.arange(ta, tb), s]
+            node = tab.v[ta:tb] * b_dim + b
+            ca, cb = tab.first[ta], tab.first[tb]
+            npairs = np.add.reduceat(tab.alive[ca:cb], tab.first[ta:tb] - ca,
                                      dtype=np.int64)
-            skipped += np.bincount(s, np.diff(rd.first[ta:tb + 1]) - npairs,
+            skipped += np.bincount(s, np.diff(tab.first[ta:tb + 1]) - npairs,
                                    b_dim)
             live = npairs > 0
             if not live.any():
@@ -364,19 +365,19 @@ class HarmonyEngine:
                          else npairs * BYTES_PER_PARTIAL)
             ops, down, up, msgs = (np.bincount(node, x, n_nodes) for x in
                                    (npairs * width[b], down, up, 2.0 * live))
-            metrics.record_stage(label, ops, down, up, msgs,
+            metrics.record_stage(tab.labels[t], ops, down, up, msgs,
                                  buffer_bytes=down + up)
-            seg = rd.seg0[ta:tb + 1]
-            table = np.stack([node, rd.q[ta:tb], np.diff(seg)], axis=1)
-            payload.append((table.astype(np.int32), rd.segs[seg[0]:seg[-1]],
-                            np.packbits(rd.alive[ca:cb])))
-            meters.append((label, rd, ta, tb, s, node))
+            seg = tab.seg0[ta:tb + 1]
+            table = np.stack([node, tab.q[ta:tb], np.diff(seg)], axis=1)
+            payload.append((table.astype(np.int32), tab.segs[seg[0]:seg[-1]],
+                            np.packbits(tab.alive[ca:cb])))
+            meters.append((t, ta, tb, s, node))
         if not payload:
             return
-        labels = [m[0] for m in meters]
+        labels = [tab.labels[m[0]] for m in meters]
         prev_desc = sc.getLocalProperty("spark.job.description")
         sc.setJobDescription(" ".join(labels))
-        t0 = time.perf_counter()
+        tic = time.perf_counter()
         bc = sc.broadcast((payload, queries, plan.dim_bounds, b_dim,
                            k if b_dim == 1 else None))
         try:
@@ -384,37 +385,37 @@ class HarmonyEngine:
         finally:
             bc.unpersist()
             sc.setJobDescription(prev_desc)
-        jobs.append((labels, time.perf_counter() - t0))
+        jobs.append((labels, time.perf_counter() - tic))
         by_stage: list[dict] = [{} for _ in meters]
         for i, n, keep, d in results:
             by_stage[i][n] = (keep, d)
-        for (_, rd, ta, tb, s, node), res in zip(meters, by_stage):
-            self._fold(rd, ta, tb, s, node, res, topk)
+        for (_, ta, tb, s, node), res in zip(meters, by_stage):
+            self._fold(tab, ta, tb, s, node, res, topk)
             # Completed waves feed the heap → tighter τ² for the waves
             # still in flight (the pipeline's pruning win).
-            self._finish(rd, ta, ta + np.count_nonzero(s == b_dim - 1), topk)
+            self._finish(tab, ta, ta + np.count_nonzero(s == b_dim - 1), topk)
 
-    def _fold(self, rd, ta, tb, s, node, res, topk) -> None:
+    def _fold(self, tab, ta, tb, s, node, res, topk) -> None:
         """Add a stage's partial sums into ``S²`` and prune its tasks with
         ``prune_mask`` against their τ²·(1 + margin), read before any heap
         update of the stage. After a worker-local top-k (``B_dim = 1``)
         only the kept candidates stay alive, with their distances."""
         if self.di.plan.b_dim == 1:
-            rd.alive[rd.first[ta]:rd.first[tb]] = False
+            tab.alive[tab.first[ta]:tab.first[tb]] = False
             for keep, d in res.values():
-                rd.alive[rd.first[ta] + keep] = True
-                rd.s2[rd.first[ta] + keep] = d
+                tab.alive[tab.first[ta] + keep] = True
+                tab.s2[tab.first[ta] + keep] = d
             return
         thr = np.full(tb - ta, np.inf)
         if self.use_pruning:
             pos = np.flatnonzero(s < self.di.plan.b_dim - 1)
-            thr[pos] = [topk.threshold(q) for q in rd.q[ta + pos]]
+            thr[pos] = [topk.threshold(q) for q in tab.q[ta + pos]]
             thr[pos] *= 1.0 + _PRUNE_MARGIN
         taken = dict.fromkeys(res, 0)
-        for i, j in _chunks(rd.first, ta, tb):
-            alive = rd.alive[rd.first[i]:rd.first[j]]
-            s2 = rd.s2[rd.first[i]:rd.first[j]]
-            ncand = np.diff(rd.first[i:j + 1])
+        for i, j in _chunks(tab.first, ta, tb):
+            alive = tab.alive[tab.first[i]:tab.first[j]]
+            s2 = tab.s2[tab.first[i]:tab.first[j]]
+            ncand = np.diff(tab.first[i:j + 1])
             cell = np.repeat(node[i - ta:j - ta], ncand)
             for n, (_, d) in res.items():
                 m = alive & (cell == n)
@@ -423,21 +424,21 @@ class HarmonyEngine:
                 taken[n] += cnt
             alive &= prune_mask(s2, np.repeat(thr[i - ta:j - ta], ncand))
 
-    def _finish(self, rd, ta, tb, topk) -> None:
+    def _finish(self, tab, ta, tb, topk) -> None:
         """One ``TopK.update`` per finishing task in ``[ta, tb)``, with its
         live candidates' ids and full distances ``S²``."""
-        _, base, vector_ids = rd.rows
-        seg_first = np.cumsum(rd.segs[:, 1]) - rd.segs[:, 1]
-        for i, j in _chunks(rd.first, ta, tb):
-            idx = np.flatnonzero(rd.alive[rd.first[i]:rd.first[j]])
-            idx += rd.first[i]
+        _, base, vector_ids = self.di.shard_rows()
+        seg_first = np.cumsum(tab.segs[:, 1]) - tab.segs[:, 1]
+        for i, j in _chunks(tab.first, ta, tb):
+            idx = np.flatnonzero(tab.alive[tab.first[i]:tab.first[j]])
+            idx += tab.first[i]
             if not len(idx):
                 continue
             seg = np.searchsorted(seg_first, idx, "right") - 1
-            task = np.searchsorted(rd.first, idx, "right") - 1
-            row = rd.segs[seg, 0] + (idx - seg_first[seg])
-            ids = vector_ids[base[rd.v[task]] + row]
+            task = np.searchsorted(tab.first, idx, "right") - 1
+            row = tab.segs[seg, 0] + (idx - seg_first[seg])
+            ids = vector_ids[base[tab.v[task]] + row]
             cut = np.flatnonzero(np.diff(task)) + 1
             for t, i_t, d_t in zip(task[np.append(0, cut)], np.split(ids, cut),
-                                   np.split(rd.s2[idx], cut)):
-                topk.update(int(rd.q[t]), i_t, d_t)
+                                   np.split(tab.s2[idx], cut)):
+                topk.update(int(tab.q[t]), i_t, d_t)

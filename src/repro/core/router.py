@@ -27,21 +27,11 @@ POLICIES = ("static", "rotate", "load_aware")
 
 def queries_per_vblock(
     plan: PartitionPlan, probes: np.ndarray
-) -> list[dict[int, np.ndarray]]:
-    """For each vector shard ``v``: ``{query_id: probed cluster ids in v}``.
-
-    ``probes`` is the ``(Q, nprobe)`` output of centroid assignment. This
-    is the blue-table mapping of Figure 4(b).
-    """
-    c2v = np.asarray(plan.cluster_to_vblock)
-    out: list[dict[int, np.ndarray]] = [dict() for _ in range(plan.b_vec)]
-    for q in range(len(probes)):
-        vblocks = c2v[probes[q]]
-        for v in range(plan.b_vec):
-            cs = probes[q][vblocks == v]
-            if len(cs):
-                out[v][q] = cs
-    return out
+) -> np.ndarray:
+    """The vector shard of each probe: ``(Q, nprobe)``, like ``probes``,
+    the output of centroid assignment. This is the blue-table mapping of
+    Figure 4(b)."""
+    return np.asarray(plan.cluster_to_vblock)[probes]
 
 
 def assign_query_groups(

@@ -2,14 +2,15 @@
 
 Mirrors the paper's ``-Mode`` parameter: ``harmony`` (adaptive grid via
 the cost model), ``vector`` (Harmony-vector, ``B_dim=1``) and
-``dimension`` (Harmony-dimension, ``B_vec=1``), plus the pruning and
-scheduling knobs of §5 "Parameters". The cost model's α is 1 and its
+``dimension`` (Harmony-dimension, ``B_vec=1``), plus the pruning knob of
+§5 "Parameters"; the engine's scheduling knobs are set with
+:meth:`HarmonySearcher.with_engine`. The cost model's α is 1 and its
 machine is the default :class:`~repro.cluster.machine.MachineModel`.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from pyspark import StorageLevel
@@ -46,7 +47,6 @@ class HarmonyConfig:
     n_nodes: int = 4
     mode: str = "harmony"
     nlist: int = 64
-    schedule: str = "rotate"
     use_pruning: bool = True
     prewarm_per_cluster: int = 32
     balanced: bool = True
@@ -144,8 +144,7 @@ class HarmonySearcher:
         finally:
             if not cached:
                 df.unpersist()
-        engine = HarmonyEngine(di, schedule=config.schedule,
-                               use_pruning=config.use_pruning)
+        engine = HarmonyEngine(di, use_pruning=config.use_pruning)
         return cls(di, config, engine, cost)
 
     def search(
@@ -159,13 +158,12 @@ class HarmonySearcher:
         knobs overridden (schedule, use_pruning, n_waves) — used
         by the ablation experiments without re-distributing the index.
         Knobs not overridden keep this searcher's values; any other key
-        raises ``ValueError``."""
-        unknown = set(overrides) - {"schedule", "use_pruning", "n_waves"}
+        raises ``ValueError``. ``config`` stays the record of the build."""
+        knobs = {knob: getattr(self.engine, knob)
+                 for knob in ("schedule", "use_pruning", "n_waves")}
+        unknown = set(overrides) - set(knobs)
         if unknown:
             raise ValueError(
                 f"with_engine() cannot override {sorted(unknown)}")
-        n_waves = overrides.pop("n_waves", self.engine.n_waves)
-        cfg = replace(self.config, **overrides)
-        eng = HarmonyEngine(self.di, schedule=cfg.schedule,
-                            use_pruning=cfg.use_pruning, n_waves=n_waves)
-        return HarmonySearcher(self.di, cfg, eng, self.planned_cost)
+        eng = HarmonyEngine(self.di, **{**knobs, **overrides})
+        return HarmonySearcher(self.di, self.config, eng, self.planned_cost)

@@ -6,6 +6,7 @@ exactly one place and builds are reused across experiments.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,9 +86,7 @@ class DatasetBundle:
     def searcher(
         self,
         mode: str,
-        schedule: str = "rotate",
         profile_queries: np.ndarray | None = None,
-        tag: str = "",
         **overrides,
     ) -> HarmonySearcher:
         """Build (or fetch) a searcher for ``mode`` on the bundle's IVF
@@ -95,29 +94,28 @@ class DatasetBundle:
 
         ``profile_queries`` is the sample workload the cost model plans
         against (harmony mode adapts to it; fixed modes ignore it for
-        packing). ``tag`` disambiguates cached builds per workload.
+        packing); builds are cached by config and profile queries.
         ``overrides`` replace :class:`HarmonyConfig` fields (e.g.
         ``n_nodes``, ``balanced``).
         """
         cfg = HarmonyConfig(
             mode=mode,
             nlist=self.cfg.nlist,
-            schedule=schedule,
             prewarm_per_cluster=self.cfg.prewarm_per_cluster,
             nprobe_hint=self.cfg.nprobe,
             k_hint=self.cfg.k,
             **{"n_nodes": self.cfg.n_nodes, **overrides},
         )
-        if (cfg, tag) not in self._searchers:
-            self._searchers[cfg, tag] = HarmonySearcher.build(
-                self.spark, self.df, cfg,
-                profile_queries=(
-                    self.queries if profile_queries is None
-                    else profile_queries
-                ),
+        profile = np.ascontiguousarray(
+            self.queries if profile_queries is None else profile_queries,
+            np.float32)
+        key = (cfg, hashlib.sha256(profile.tobytes()).hexdigest())
+        if key not in self._searchers:
+            self._searchers[key] = HarmonySearcher.build(
+                self.spark, self.df, cfg, profile_queries=profile,
                 centroids=self.ivf.centroids,
             )
-        return self._searchers[cfg, tag]
+        return self._searchers[key]
 
     def workload(self, skew: float = 0.0) -> np.ndarray:
         """Query batch at the requested center-skew level (0 = natural)."""

@@ -213,9 +213,7 @@ def fig7_rows(
             # Baseline modes keep their skew-blind (traditional) layout;
             # only adaptive harmony re-plans against the skewed profile.
             if mode == "harmony":
-                s = bundle.searcher(
-                    mode, profile_queries=queries, tag=f"imb{frac}"
-                )
+                s = bundle.searcher(mode, profile_queries=queries)
             else:
                 s = bundle.searcher(mode)
             res = s.search(queries, k=cfg.k, nprobe=cfg.nprobe)
@@ -253,13 +251,10 @@ def fig9_rows(bundle: DatasetBundle) -> list[dict]:
             float(res.report.metrics.node_ops().sum()),
         )
 
-    full = bundle.searcher("harmony", profile_queries=queries, tag="imb.5")
+    full = bundle.searcher("harmony", profile_queries=queries)
     t_full, ops_full = run(full)
     t_no_balance, _ = run(
-        bundle.searcher(
-            "harmony", profile_queries=queries, tag="imb.5nb",
-            balanced=False,
-        )
+        bundle.searcher("harmony", profile_queries=queries, balanced=False)
     )
     t_no_pipeline, _ = run(
         full.with_engine(schedule="static", n_waves=1), blocking=True

@@ -57,7 +57,8 @@ def test_full_probe_equals_exact(setup):
     x, q, ivf = setup
     res = search_ivf_flat(ivf, q, k=5, nprobe=ivf.nlist)
     tids, tdists = exact_knn(x, q, 5)
-    np.testing.assert_allclose(res.dists, tdists, rtol=1e-3, atol=1e-3)
+    np.testing.assert_array_equal(res.ids, tids)
+    np.testing.assert_array_equal(res.dists, tdists)
 
 
 def test_partial_probe_distances_sorted(setup):

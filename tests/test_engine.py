@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from repro.baseline.faiss_lite import search_ivf_flat
+from repro.cluster.layout import distribute
 from repro.cluster.machine import MachineModel
 from repro.core.engine import HarmonyEngine
+from repro.core.partition import make_plan
 from repro.core.router import dim_order
 from repro.core.searcher import HarmonyConfig, HarmonySearcher
-from repro.ivf.index import probe_clusters
+from repro.ivf.index import build_ivf, probe_clusters
 from repro.vectors.generate import base_spark
 from tests.conftest import (
     BAD_SEARCH_CASES,
@@ -56,6 +58,46 @@ def test_exact_across_k_nprobe(built, ds, k, nprobe):
     for mode in ("harmony", "vector", "dimension"):
         res = built[mode].search(ds["q"], k=k, nprobe=nprobe)
         assert_same_distances(res.dists, ref.dists)
+
+
+@pytest.fixture(scope="module")
+def tied(spark):
+    """``(grids, queries, faiss_lite result)`` over duplicated small-integer
+    base vectors, whose distances tie exactly in every summation order:
+    each mode's grid and a 2×2 grid, on one clustering."""
+    rng = np.random.default_rng(3)
+    x = np.repeat(rng.integers(0, 4, (150, 16)), 4, axis=0)
+    x = x[rng.permutation(len(x))].astype(np.float32)
+    q = rng.integers(0, 4, (12, 16)).astype(np.float32)
+    df = spark.createDataFrame([(i, v.tolist()) for i, v in enumerate(x)],
+                               "id long, vec array<float>")
+    ivf = build_ivf(x, 8)
+    grids = {}
+    for mode in ("harmony", "vector", "dimension"):
+        cfg = HarmonyConfig(n_nodes=4, mode=mode, nlist=8,
+                            prewarm_per_cluster=4, nprobe_hint=3,
+                            k_hint=TEST_K)
+        grids[mode] = HarmonySearcher.build(
+            spark, df, cfg, profile_queries=q, centroids=ivf.centroids).di
+    plan = make_plan(4, 2, 2, x.shape[1], ivf.cluster_sizes())
+    grids["2x2"] = distribute(df, plan, ivf.centroids, ivf.cluster_ids, 4)
+    yield grids, q, search_ivf_flat(ivf, q, k=TEST_K, nprobe=3)
+    for di in grids.values():
+        di.unpersist()
+
+
+@pytest.mark.parametrize("grid", ["harmony", "vector", "dimension", "2x2"])
+def test_exact_ids_on_tied_distances(tied, grid):
+    # Every candidate has 3 exact duplicates, so the k-th best distance is
+    # tied and the kept ids depend on cutting ties by id alone.
+    grids, q, ref = tied
+    for schedule in ("static", "rotate", "load_aware"):
+        for n_waves in (1, 4):
+            eng = HarmonyEngine(grids[grid], schedule=schedule,
+                                n_waves=n_waves)
+            res = eng.search(q, k=TEST_K, nprobe=3)
+            np.testing.assert_array_equal(res.ids, ref.ids)
+            np.testing.assert_array_equal(res.dists, ref.dists)
 
 
 def test_result_shape_and_order(built, ds):

@@ -174,6 +174,9 @@ def test_bundle_caches_searchers(bundle):
     s1 = bundle.searcher("vector")
     s2 = bundle.searcher("vector")
     assert s1 is s2
+    # Keyed by the profile queries' contents, not by the array object.
+    assert (bundle.searcher("harmony", profile_queries=bundle.queries.copy())
+            is bundle.searcher("harmony"))
 
 
 def test_imbalanced_workload_properties(bundle):

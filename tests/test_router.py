@@ -18,30 +18,26 @@ def _plan(bv=2, bd=2, nlist=6):
 def test_queries_per_vblock_maps_all_probes():
     plan = _plan()
     probes = np.array([[0, 1, 2], [3, 4, 5]])
-    per_v = queries_per_vblock(plan, probes)
-    assert len(per_v) == plan.b_vec
-    got = {(q, int(c)) for v in per_v for q, cs in v.items() for c in cs}
-    want = {(q, int(c)) for q in range(2) for c in probes[q]}
-    assert got == want
+    shard = queries_per_vblock(plan, probes)
+    assert shard.shape == probes.shape
+    assert set(shard.ravel()) <= set(range(plan.b_vec))
 
 
 def test_queries_per_vblock_respects_mapping():
     plan = _plan()
     c2v = np.asarray(plan.cluster_to_vblock)
-    probes = np.array([[0, 1, 2, 3, 4, 5]])
-    per_v = queries_per_vblock(plan, probes)
-    for v in range(plan.b_vec):
-        for q, cs in per_v[v].items():
-            assert np.all(c2v[cs] == v)
+    probes = np.array([[0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 2, 4]])
+    np.testing.assert_array_equal(queries_per_vblock(plan, probes),
+                                  c2v[probes])
 
 
 def test_queries_per_vblock_absent_query_omitted():
+    # A query whose probes all lie in shard 0 has no probe in shard 1.
     plan = _plan(bv=2, bd=1, nlist=4)
     c2v = np.asarray(plan.cluster_to_vblock)
     only_v0 = np.nonzero(c2v == 0)[0][:1]
-    per_v = queries_per_vblock(plan, np.array([only_v0]))
-    assert 0 in per_v[0]
-    assert 0 not in per_v[1]
+    shard = queries_per_vblock(plan, np.array([only_v0]))
+    assert (shard[0] == 0).all()
 
 
 def test_assign_query_groups_round_robin():

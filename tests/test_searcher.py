@@ -48,6 +48,8 @@ def test_with_engine_shares_index(built):
     assert s2.di is s.di
     assert s2.engine.use_pruning is False
     assert s.engine.use_pruning is True
+    # The config stays the record of the build (planned with pruning).
+    assert s2.config is s.config
 
 
 def test_with_engine_overrides_schedule_and_waves(built):
