@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class MachineModel:
@@ -47,9 +49,10 @@ class MachineModel:
         """Seconds to move ``n_bytes`` in ``msgs`` messages over one link."""
         return msgs * self.latency_sec + n_bytes / self.bandwidth_bytes
 
-    def stage_time(self, comp_sec: float, comm_sec: float) -> float:
-        """Elapsed seconds of one synchronized pipeline stage."""
+    def stage_time(self, comp_sec, comm_sec):
+        """Elapsed seconds of one synchronized pipeline stage (elementwise
+        for arrays)."""
         if self.blocking:
             return comp_sec + comm_sec
-        lo, hi = sorted((comp_sec, comm_sec))
-        return hi + (1.0 - self.overlap) * lo
+        return (np.maximum(comp_sec, comm_sec)
+                + (1.0 - self.overlap) * np.minimum(comp_sec, comm_sec))

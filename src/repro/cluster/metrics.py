@@ -39,11 +39,8 @@ class StageRecord:
 
     def comm_seconds(self, model: MachineModel) -> float:
         """Stage communication span: the busiest link's transfer time."""
-        per_node = self.bytes_down + self.bytes_up
-        if len(per_node) == 0:
-            return 0.0
-        i = int(np.argmax(per_node + self.msgs * 1e-9))
-        return model.comm_time(float(per_node[i]), float(self.msgs[i]))
+        per_link = model.comm_time(self.bytes_down + self.bytes_up, self.msgs)
+        return float(per_link.max(initial=0.0))
 
 
 @dataclass
@@ -53,35 +50,25 @@ class ClusterMetrics:
     n_nodes: int
     stages: list[StageRecord] = field(default_factory=list)
     client_ops: float = 0.0
-    #: Per-node peak transient buffer bytes observed at any stage.
-    peak_buffer_bytes: np.ndarray = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        if self.peak_buffer_bytes is None:
-            self.peak_buffer_bytes = np.zeros(self.n_nodes)
-
-    def record_stage(
-        self,
-        label: str,
-        ops,
-        bytes_down,
-        bytes_up,
-        msgs,
-        buffer_bytes=None,
-    ) -> None:
+    def record_stage(self, label: str, ops, bytes_down, bytes_up,
+                     msgs) -> None:
         """Append one stage; all arguments are length-``n_nodes`` arrays."""
-        rec = StageRecord(
+        self.stages.append(StageRecord(
             label,
             np.asarray(ops, dtype=np.float64),
             np.asarray(bytes_down, dtype=np.float64),
             np.asarray(bytes_up, dtype=np.float64),
             np.asarray(msgs, dtype=np.float64),
-        )
-        self.stages.append(rec)
-        if buffer_bytes is not None:
-            self.peak_buffer_bytes = np.maximum(
-                self.peak_buffer_bytes, np.asarray(buffer_bytes, np.float64)
-            )
+        ))
+
+    @property
+    def peak_buffer_bytes(self) -> np.ndarray:
+        """Per-node peak transient buffer bytes: the most a node sends and
+        receives (``bytes_down + bytes_up``) in any one stage."""
+        per_stage = [s.bytes_down + s.bytes_up for s in self.stages]
+        return np.max(np.reshape(per_stage, (-1, self.n_nodes)), axis=0,
+                      initial=0.0)
 
     # ---- aggregations -------------------------------------------------
 
@@ -118,20 +105,11 @@ class ClusterMetrics:
     def node_seconds(self, model: MachineModel) -> np.ndarray:
         """Per-node busy time: total compute and total communication of
         each node, composed by the model's overlap rule."""
-        comp = np.zeros(self.n_nodes)
-        n_bytes = np.zeros(self.n_nodes)
-        msgs = np.zeros(self.n_nodes)
-        for s in self.stages:
-            comp += s.ops
-            n_bytes += s.bytes_down + s.bytes_up
-            msgs += s.msgs
-        out = np.zeros(self.n_nodes)
-        for n in range(self.n_nodes):
-            out[n] = model.stage_time(
-                model.comp_time(float(comp[n])),
-                model.comm_time(float(n_bytes[n]), float(msgs[n])),
-            )
-        return out
+        n_bytes = sum((s.bytes_down + s.bytes_up for s in self.stages),
+                      np.zeros(self.n_nodes))
+        msgs = sum((s.msgs for s in self.stages), np.zeros(self.n_nodes))
+        return model.stage_time(model.comp_time(self.node_ops()),
+                                model.comm_time(n_bytes, msgs))
 
     def simulated_seconds(self, model: MachineModel) -> float:
         """Simulated elapsed time of the query batch.
@@ -148,25 +126,9 @@ class ClusterMetrics:
         distributed phase and is added serially in both modes.
         """
         t_client = model.comp_time(self.client_ops)
+        spans = [model.stage_time(s.comp_seconds(model), s.comm_seconds(model))
+                 for s in self.stages]
         if model.blocking:
-            return t_client + sum(
-                model.stage_time(
-                    s.comp_seconds(model), s.comm_seconds(model)
-                )
-                for s in self.stages
-            )
-        if not self.stages:
-            return t_client
-        longest = max(
-            model.stage_time(s.comp_seconds(model), s.comm_seconds(model))
-            for s in self.stages
-        )
+            return t_client + sum(spans)
         return t_client + max(float(self.node_seconds(model).max()),
-                              longest)
-
-    def breakdown(self, model: MachineModel) -> dict[str, float]:
-        """Fig. 8-style shares: computation / communication / other."""
-        comp = self.comp_seconds(model)
-        comm = self.comm_seconds(model)
-        other = model.comp_time(self.client_ops)
-        return {"computation": comp, "communication": comm, "other": other}
+                              max(spans, default=0.0))

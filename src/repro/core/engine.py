@@ -30,8 +30,7 @@ runs each global stage when ``B_dim > 1`` (τ² must tighten between
 stages), and all ``B_vec`` rounds when ``B_dim = 1`` (workers cut to a
 local top-k and never read τ²). Every stage (a round, when ``B_dim = 1``)
 is metered on its own: per-node ops, bytes down (query slices + survivor
-sets), bytes up (partial sums / local top-k results), messages, transient
-buffers.
+sets), bytes up (partial sums / local top-k results) and messages.
 """
 from __future__ import annotations
 
@@ -47,7 +46,7 @@ from repro.cluster.metrics import ClusterMetrics
 from repro.core.cost_model import (BYTES_PER_PARTIAL, BYTES_PER_POSITION,
                                    BYTES_PER_RESULT, BYTES_PER_SCALAR)
 from repro.core.pruning import TopK, prune_mask
-from repro.core.router import (assign_query_groups, dim_order,
+from repro.core.router import (POLICIES, assign_query_groups, dim_order,
                                queries_per_vblock)
 from repro.ivf.index import check_search_args, probe_clusters
 from repro.sparkutil import spark_task
@@ -214,6 +213,9 @@ class HarmonyEngine:
         use_pruning: bool = True,
         n_waves: int = 4,
     ):
+        if schedule not in POLICIES:
+            raise ValueError(
+                f"unknown schedule {schedule!r}; one of {POLICIES}")
         self.di = di
         self.schedule = schedule
         self.use_pruning = use_pruning
@@ -271,16 +273,15 @@ class HarmonyEngine:
             # A task's dimension-block order (scheduler, §4.3) is fixed
             # when its wave *starts*, so the load-aware policy sees live
             # node loads (the paper's dynamic reordering, Fig. 5b).
-            loads = metrics.node_ops()
-            for i in range(*np.searchsorted(tab.t0, [t, t + 1])):
-                shard = loads[tab.v[i] * b_dim:(tab.v[i] + 1) * b_dim]
-                tab.order[i] = dim_order(self.schedule, int(tab.q[i]),
-                                         b_dim, shard)
+            i, j = np.searchsorted(tab.t0, [t, t + 1])
+            loads = metrics.node_ops().reshape(plan.b_vec, b_dim)[tab.v[i:j]]
+            tab.order[i:j] = dim_order(self.schedule, tab.q[i:j], b_dim,
+                                       loads)
             # One stage per job: τ² must tighten between stages.
             run([t])
 
         report = SearchReport(metrics, len(tab.alive), skipped, b_dim, jobs)
-        return SearchResult(*topk.result(), report)
+        return SearchResult(topk.ids, topk.dists, report)
 
     # -----------------------------------------------------------------
     def _layout(self, probes, scanned, n_waves) -> _Tasks:
@@ -365,8 +366,7 @@ class HarmonyEngine:
                          else npairs * BYTES_PER_PARTIAL)
             ops, down, up, msgs = (np.bincount(node, x, n_nodes) for x in
                                    (npairs * width[b], down, up, 2.0 * live))
-            metrics.record_stage(tab.labels[t], ops, down, up, msgs,
-                                 buffer_bytes=down + up)
+            metrics.record_stage(tab.labels[t], ops, down, up, msgs)
             seg = tab.seg0[ta:tb + 1]
             table = np.stack([node, tab.q[ta:tb], np.diff(seg)], axis=1)
             payload.append((table.astype(np.int32), tab.segs[seg[0]:seg[-1]],
@@ -409,8 +409,7 @@ class HarmonyEngine:
         thr = np.full(tb - ta, np.inf)
         if self.use_pruning:
             pos = np.flatnonzero(s < self.di.plan.b_dim - 1)
-            thr[pos] = [topk.threshold(q) for q in tab.q[ta + pos]]
-            thr[pos] *= 1.0 + _PRUNE_MARGIN
+            thr[pos] = topk.dists[tab.q[ta + pos], -1] * (1.0 + _PRUNE_MARGIN)
         taken = dict.fromkeys(res, 0)
         for i, j in _chunks(tab.first, ta, tb):
             alive = tab.alive[tab.first[i]:tab.first[j]]

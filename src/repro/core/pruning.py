@@ -15,17 +15,17 @@ import numpy as np
 class TopK:
     """Per-query running top-K sets (the paper's max-heaps).
 
-    Maintains, for each of ``n_queries`` queries, the ``k`` smallest
-    distances seen so far with their vector ids; duplicates by id are
-    collapsed (prewarm candidates are rescanned-safe).
+    ``ids`` and ``dists`` are ``(Q, k)`` arrays: row ``q`` holds the ``k``
+    smallest distances seen so far for query ``q`` with their vector ids,
+    distance-ascending and padded with ``(-1, inf)``; duplicates by id are
+    collapsed. ``dists[:, -1]`` is each query's pruning threshold ``τ²``,
+    +inf until its row is full.
     """
 
     def __init__(self, n_queries: int, k: int):
         self.k = k
-        self._ids = [np.empty(0, dtype=np.int64) for _ in range(n_queries)]
-        self._dists = [
-            np.empty(0, dtype=np.float64) for _ in range(n_queries)
-        ]
+        self.ids = np.full((n_queries, k), -1, dtype=np.int64)
+        self.dists = np.full((n_queries, k), np.inf)
 
     def update(self, q: int, ids: np.ndarray, dists: np.ndarray) -> None:
         """Merge candidates ``(ids, dists)`` into query ``q``'s heap.
@@ -36,43 +36,27 @@ class TopK:
         """
         ids = np.asarray(ids, np.int64)
         dists = np.asarray(dists, np.float64)
-        if len(self._dists[q]) == self.k:
-            near = dists <= self._dists[q][-1]
+        tau2 = self.dists[q, -1]
+        if tau2 < np.inf:
+            near = dists <= tau2
             ids, dists = ids[near], dists[near]
         if len(ids) == 0:
             return
-        all_ids = np.concatenate([self._ids[q], ids])
-        all_d = np.concatenate([self._dists[q], dists])
-        # Collapse duplicate ids, keeping the smallest distance.
+        all_ids = np.concatenate([self.ids[q], ids])
+        all_d = np.concatenate([self.dists[q], dists])
+        # Collapse duplicate ids, keeping the smallest distance (the
+        # padding collapses to one (-1, inf) entry).
         order = np.lexsort((all_d, all_ids))
         all_ids, all_d = all_ids[order], all_d[order]
         first = np.ones(len(all_ids), dtype=bool)
         first[1:] = all_ids[1:] != all_ids[:-1]
         all_ids, all_d = all_ids[first], all_d[first]
         # Keep the k best by (distance, id): ties are cut by id, so the
-        # kept ids do not depend on the order candidates arrived in.
+        # kept ids do not depend on the order candidates arrived in. Rows
+        # past the kept ones are padding already.
         keep = np.lexsort((all_ids, all_d))[: self.k]
-        self._ids[q] = all_ids[keep]
-        self._dists[q] = all_d[keep]
-
-    def threshold(self, q: int) -> float:
-        """Current pruning threshold ``τ²`` for query ``q``: the k-th best
-        distance, or +inf while the heap is not yet full."""
-        if len(self._dists[q]) < self.k:
-            return np.inf
-        return float(self._dists[q][-1])
-
-    def result(self) -> tuple[np.ndarray, np.ndarray]:
-        """Final ``(ids, dists)`` arrays of shape ``(Q, k)``, distance-
-        sorted, padded with ``(-1, inf)`` when fewer than k candidates."""
-        nq = len(self._ids)
-        ids = np.full((nq, self.k), -1, dtype=np.int64)
-        dists = np.full((nq, self.k), np.inf)
-        for q in range(nq):
-            m = len(self._ids[q])
-            ids[q, :m] = self._ids[q]
-            dists[q, :m] = self._dists[q]
-        return ids, dists
+        self.ids[q, : len(keep)] = all_ids[keep]
+        self.dists[q, : len(keep)] = all_d[keep]
 
 
 def prune_mask(partial_sums: np.ndarray, tau2: float) -> np.ndarray:

@@ -45,29 +45,30 @@ def assign_query_groups(
 
 def dim_order(
     policy: str,
-    q: int,
+    q: int | np.ndarray,
     b_dim: int,
     node_loads_of_blocks: np.ndarray | None = None,
-) -> list[int]:
-    """Dimension-block visit order for query ``q`` under ``policy``.
+) -> np.ndarray:
+    """Dimension-block visit orders of queries ``q`` under ``policy``.
 
-    ``node_loads_of_blocks[b]`` is the accumulated load of the node
-    hosting block ``b`` in the query's shard (needed by ``load_aware``).
+    ``q`` is a query id or an array of ``n``; the result is one order of
+    ``B_dim`` blocks per query, shape ``(n, B_dim)`` for an array.
+    ``node_loads_of_blocks[..., b]`` is the accumulated load of the node
+    hosting block ``b`` in each query's shard (needed by ``load_aware``).
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown schedule {policy!r}; one of {POLICIES}")
-    base = list(range(b_dim))
-    if policy == "static" or b_dim == 1:
-        return base
+    q = np.asarray(q)[..., None]
+    if policy == "static":
+        return np.arange(b_dim) + np.zeros_like(q)
+    stagger = (np.arange(b_dim) + q) % b_dim
     if policy == "rotate":
-        r = q % b_dim
-        return base[r:] + base[:r]
+        return stagger
     # load_aware: least-loaded node's block first, most-loaded last;
     # stagger ties by query id so concurrent queries still spread out.
     loads = (
-        np.zeros(b_dim)
+        np.zeros(stagger.shape)
         if node_loads_of_blocks is None
         else np.asarray(node_loads_of_blocks, dtype=np.float64)
     )
-    tie = np.array([(b + q) % b_dim for b in base], dtype=np.float64)
-    return [int(b) for b in np.lexsort((tie, loads))]
+    return np.lexsort((stagger, loads), axis=-1)

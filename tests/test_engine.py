@@ -260,6 +260,13 @@ def test_search_rejects_bad_input(built, ds, case):
         built["harmony"].search(**args)
 
 
+def test_unknown_schedule_rejected(built):
+    # A B_dim = 1 grid never orders blocks, so the engine checks the
+    # schedule itself.
+    with pytest.raises(ValueError, match="chaotic"):
+        built["vector"].with_engine(schedule="chaotic")
+
+
 def _search_counting_jobs(searcher, q):
     """``(result, Spark jobs run)`` of one search in a fresh job group."""
     sc = searcher.di.rdd.context

@@ -37,9 +37,9 @@ def test_nonblocking_never_beats_max():
 def _metrics():
     cm = ClusterMetrics(2)
     cm.record_stage("a", ops=[100, 300], bytes_down=[10, 20],
-                    bytes_up=[5, 5], msgs=[2, 2], buffer_bytes=[15, 25])
+                    bytes_up=[5, 5], msgs=[2, 2])
     cm.record_stage("b", ops=[200, 0], bytes_down=[0, 0],
-                    bytes_up=[8, 0], msgs=[1, 0], buffer_bytes=[8, 0])
+                    bytes_up=[8, 0], msgs=[1, 0])
     return cm
 
 
@@ -74,6 +74,14 @@ def test_stage_comm_span_busiest_link():
     assert rec.comm_seconds(m) == pytest.approx(2.0 + 1.0)
 
 
+def test_stage_comm_span_is_slowest_link_not_most_bytes():
+    # Node A moves 100 kB in 1 message (10 µs), node B 50 kB in 10
+    # messages (24 µs): B's link is the busiest.
+    rec = StageRecord("s", np.zeros(2), np.array([1e5, 5e4]), np.zeros(2),
+                      np.array([1.0, 10.0]))
+    assert rec.comm_seconds(MachineModel()) == pytest.approx(24e-6)
+
+
 def test_simulated_seconds_includes_client():
     cm = ClusterMetrics(1)
     cm.client_ops = 5e9
@@ -92,12 +100,6 @@ def test_simulated_seconds_sums_stage_spans():
 def test_peak_buffer_tracks_max():
     cm = _metrics()
     np.testing.assert_array_equal(cm.peak_buffer_bytes, [15, 25])
-
-
-def test_breakdown_keys():
-    b = _metrics().breakdown(MachineModel())
-    assert set(b) == {"computation", "communication", "other"}
-    assert all(v >= 0 for v in b.values())
 
 
 def test_empty_metrics_zero():

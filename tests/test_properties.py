@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.partition import pack_clusters, split_dims
 from repro.core.pruning import TopK
+from repro.core.router import POLICIES, dim_order
 from repro.ivf.kmeans import pairwise_sq_l2
 
 FLOATS = st.floats(-100, 100, allow_nan=False, width=32)
@@ -64,7 +65,7 @@ def test_partial_sums_monotone(rows, b_dim):
 def test_topk_matches_sorted_reference(dists, k):
     t = TopK(1, k)
     t.update(0, np.arange(len(dists)), np.asarray(dists))
-    _, got = t.result()
+    got = t.dists
     want = np.sort(np.asarray(dists))[:k]
     got = got[0][: len(want)]
     np.testing.assert_allclose(got[np.isfinite(got)],
@@ -79,8 +80,8 @@ def test_topk_matches_sorted_reference(dists, k):
 def test_topk_threshold_upper_bounds_members(dists, k):
     t = TopK(1, k)
     t.update(0, np.arange(len(dists)), np.asarray(dists))
-    _, res = t.result()
-    th = t.threshold(0)
+    res = t.dists
+    th = t.dists[0, -1]
     finite = res[0][np.isfinite(res[0])]
     assert np.all(finite <= th + 1e-9)
 
@@ -114,7 +115,7 @@ def test_topk_ids_independent_of_arrival_order(levels, k, n_calls, rnd):
         t = TopK(1, k)
         for part in np.array_split(order, n_calls):
             t.update(0, ids[part], dists[part])
-        return t.result()
+        return t.ids, t.dists
 
     want_ids, want_d = run(ids)
     perm = ids.copy()
@@ -146,6 +147,34 @@ def test_topk_update_sequence_matches_brute_force(calls, k):
         for i, d in call:
             best[i] = min(best.get(i, np.inf), d)
     want = sorted((d, i) for i, d in best.items())[:k]
-    got_ids, got_d = t.result()
+    got_ids, got_d = t.ids, t.dists
     assert got_ids[0].tolist() == [i for _, i in want] + [-1] * (k - len(want))
     assert got_d[0][: len(want)].tolist() == [d for d, _ in want]
+
+
+@given(
+    st.sampled_from(POLICIES),
+    st.integers(1, 6),
+    st.lists(st.integers(0, 1000), max_size=12),
+    st.data(),
+)
+@settings(max_examples=100)
+def test_dim_order_rows_match_single_queries(policy, b_dim, qs, data):
+    # The array form orders each query exactly as a call for that query
+    # alone would; small integer loads make ties common.
+    q = np.asarray(qs, dtype=np.int64)
+    loads = np.asarray(data.draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=b_dim, max_size=b_dim),
+        min_size=len(q), max_size=len(q))), dtype=np.float64)
+    got = dim_order(policy, q, b_dim, loads.reshape(len(q), b_dim))
+    assert got.shape == (len(q), b_dim)
+    for i, qi in enumerate(q.tolist()):
+        np.testing.assert_array_equal(
+            got[i], dim_order(policy, qi, b_dim, loads[i]))
+        # Reference: the rotation starts at block qi mod B_dim; load_aware
+        # sorts blocks by (load, position in that rotation).
+        rot = [(b + qi) % b_dim for b in range(b_dim)]
+        want = {"static": list(range(b_dim)), "rotate": rot,
+                "load_aware": sorted(range(b_dim),
+                                     key=lambda b: (loads[i][b], rot[b]))}
+        assert got[i].tolist() == want[policy]

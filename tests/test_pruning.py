@@ -7,23 +7,23 @@ from repro.core.pruning import TopK, prune_mask
 
 def test_threshold_inf_until_full():
     t = TopK(1, 3)
-    assert t.threshold(0) == np.inf
+    assert t.dists[0, -1] == np.inf
     t.update(0, np.array([1, 2]), np.array([0.5, 0.2]))
-    assert t.threshold(0) == np.inf  # only 2 of 3 slots filled
+    assert t.dists[0, -1] == np.inf  # only 2 of 3 slots filled
     t.update(0, np.array([3]), np.array([0.9]))
-    assert t.threshold(0) == pytest.approx(0.9)
+    assert t.dists[0, -1] == pytest.approx(0.9)
 
 
 def test_threshold_is_kth_best():
     t = TopK(1, 2)
     t.update(0, np.arange(5), np.array([5.0, 1.0, 3.0, 2.0, 4.0]))
-    assert t.threshold(0) == pytest.approx(2.0)
+    assert t.dists[0, -1] == pytest.approx(2.0)
 
 
 def test_update_keeps_smallest():
     t = TopK(1, 3)
     t.update(0, np.arange(10), np.arange(10, dtype=float))
-    ids, dists = t.result()
+    ids, dists = t.ids, t.dists
     np.testing.assert_array_equal(ids[0], [0, 1, 2])
     np.testing.assert_array_equal(dists[0], [0.0, 1.0, 2.0])
 
@@ -31,7 +31,7 @@ def test_update_keeps_smallest():
 def test_update_dedupes_ids_keeps_min():
     t = TopK(1, 3)
     t.update(0, np.array([7, 7, 8]), np.array([2.0, 1.0, 3.0]))
-    ids, dists = t.result()
+    ids, dists = t.ids, t.dists
     assert list(ids[0]) == [7, 8, -1]
     assert dists[0][0] == pytest.approx(1.0)
 
@@ -40,14 +40,14 @@ def test_update_dedupes_across_calls():
     t = TopK(1, 2)
     t.update(0, np.array([5]), np.array([4.0]))
     t.update(0, np.array([5]), np.array([4.0]))
-    ids, _ = t.result()
+    ids = t.ids
     assert list(ids[0]) == [5, -1]
 
 
 def test_result_sorted_and_padded():
     t = TopK(2, 4)
     t.update(0, np.array([3, 1]), np.array([0.3, 0.1]))
-    ids, dists = t.result()
+    ids, dists = t.ids, t.dists
     assert list(ids[0]) == [1, 3, -1, -1]
     assert dists[0][2] == np.inf
     assert list(ids[1]) == [-1] * 4  # untouched query
@@ -57,14 +57,14 @@ def test_queries_independent():
     t = TopK(2, 1)
     t.update(0, np.array([1]), np.array([1.0]))
     t.update(1, np.array([2]), np.array([2.0]))
-    assert t.threshold(0) == 1.0
-    assert t.threshold(1) == 2.0
+    assert t.dists[0, -1] == 1.0
+    assert t.dists[1, -1] == 2.0
 
 
 def test_empty_update_noop():
     t = TopK(1, 2)
     t.update(0, np.empty(0, dtype=np.int64), np.empty(0))
-    assert t.threshold(0) == np.inf
+    assert t.dists[0, -1] == np.inf
 
 
 def test_threshold_monotone_nonincreasing():
@@ -73,7 +73,7 @@ def test_threshold_monotone_nonincreasing():
     prev = np.inf
     for i in range(20):
         t.update(0, np.array([i]), np.array([g.random() * 10]))
-        cur = t.threshold(0)
+        cur = t.dists[0, -1]
         assert cur <= prev
         prev = cur
 

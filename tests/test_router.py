@@ -50,12 +50,12 @@ def test_assign_query_groups_single_shard():
 
 
 def test_dim_order_static():
-    assert dim_order("static", 5, 4) == [0, 1, 2, 3]
+    assert dim_order("static", 5, 4).tolist() == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("q", range(6))
 def test_dim_order_rotate_is_rotation(q):
-    o = dim_order("rotate", q, 4)
+    o = dim_order("rotate", q, 4).tolist()
     assert sorted(o) == [0, 1, 2, 3]
     assert o[0] == q % 4
     # consecutive blocks follow cyclically
@@ -70,7 +70,7 @@ def test_dim_order_rotate_staggers_queries():
 
 def test_dim_order_load_aware_defers_hot_node():
     loads = np.array([100.0, 0.0, 0.0, 0.0])  # block 0's node overloaded
-    o = dim_order("load_aware", 0, 4, loads)
+    o = dim_order("load_aware", 0, 4, loads).tolist()
     assert o[-1] == 0  # most-loaded node's block goes last (§4.3)
 
 
@@ -88,7 +88,7 @@ def test_dim_order_load_aware_ties_stagger():
 
 def test_dim_order_single_block():
     for pol in POLICIES:
-        assert dim_order(pol, 3, 1) == [0]
+        assert dim_order(pol, 3, 1).tolist() == [0]
 
 
 def test_dim_order_unknown_policy():
