@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ivf.index import k_best
+from repro.ivf.kmeans import sq_l2
 
 
 def exact_knn(
@@ -17,8 +18,7 @@ def exact_knn(
     ids = np.empty((len(queries), k), np.int64)
     dists = np.empty((len(queries), k))
     for i, q in enumerate(np.asarray(queries, np.float32)):
-        diff = base - q
-        d = (diff * diff).sum(axis=1).astype(np.float64)
+        d = sq_l2(base, q).astype(np.float64)
         ids[i] = k_best(d, pos, k)
         dists[i] = d[ids[i]]
     return ids, dists

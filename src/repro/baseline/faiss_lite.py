@@ -17,6 +17,7 @@ import numpy as np
 from repro.cluster.machine import MachineModel
 from repro.ivf.index import (IVFIndex, check_search_args, k_best,
                              probe_clusters)
+from repro.ivf.kmeans import sq_l2
 
 
 @dataclass
@@ -52,8 +53,7 @@ def search_ivf_flat(
             mat = index.cluster_vectors[c]
             if not len(mat):
                 continue
-            diff = mat - queries[q]
-            cand_d.append((diff * diff).sum(axis=1).astype(np.float64))
+            cand_d.append(sq_l2(mat, queries[q]).astype(np.float64))
             cand_ids.append(index.cluster_ids[c])
             ops += mat.shape[0] * index.dim
         if not cand_ids:

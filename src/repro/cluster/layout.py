@@ -3,18 +3,18 @@
 One simulated worker node = one Spark RDD partition. Grid cell ``(v, b)``
 (vector shard ``v`` × dimension block ``b``) is routed to partition
 ``plan.cell_node(v, b)`` by a **custom partitioner** over node keys —
-the Spark analog of Harmony assigning index blocks to MPI ranks. Each
-partition materializes a :class:`CellStore` holding its shard's vector
-rows restricted to its dimension block, as one contiguous matrix in the
-order :func:`shard_rows` fixes; the driver keeps the client-side routing
-table (centroids, per-cluster id lists, prewarm sample).
+the Spark analog of Harmony assigning index blocks to MPI ranks. Partition
+``n`` holds one float32 matrix, cell ``plan.node_cell(n)``: its shard's
+vector rows restricted to its dimension block, in the order
+:func:`shard_rows` fixes; the driver keeps the client-side routing table
+(centroids, per-cluster id lists, prewarm sample).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from pyspark import StorageLevel
+from pyspark import StorageLevel, TaskContext
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -31,23 +31,6 @@ ACCUM_BYTES_PER_VECTOR = 12
 
 
 @dataclass
-class CellStore:
-    """One grid cell's storage on its worker node.
-
-    ``mat`` is one contiguous ``(rows, block_dims)`` float32 matrix: the
-    rows of vector shard ``vblock`` in :func:`shard_rows` order, restricted
-    to dimension block ``dimblock``."""
-
-    vblock: int
-    dimblock: int
-    mat: np.ndarray = field(repr=False)
-
-    def nbytes(self) -> int:
-        """Bytes of vector data stored in this cell."""
-        return int(self.mat.nbytes)
-
-
-@dataclass
 class DistributedIndex:
     """A plan-laid-out IVF index: worker cells on Spark + client metadata."""
 
@@ -58,8 +41,7 @@ class DistributedIndex:
     cluster_ids: list[np.ndarray]
     #: Client-side prewarm sample: first rows of each cluster, full dims.
     prewarm_rows: dict[int, np.ndarray]
-    rdd: object  # RDD[CellStore], one partition per node
-    node_index_bytes: np.ndarray
+    rdd: object  # one float32 cell matrix per partition = node
     #: Seconds of the Train, Add and Pre-assign stages (set by the build).
     build_seconds: dict[str, float] = field(default_factory=dict)
 
@@ -81,18 +63,29 @@ class DistributedIndex:
         """:func:`shard_rows` of this index."""
         return shard_rows(self.plan, self.cluster_ids)
 
+    def _shard_size(self) -> np.ndarray:
+        """Vectors per shard, as floats."""
+        _, base, ids = self.shard_rows()
+        return np.diff(base, append=len(ids)).astype(float)
+
+    @property
+    def node_index_bytes(self) -> np.ndarray:
+        """Vector data per node: its shard's rows × its block's width ×
+        4 bytes (float32)."""
+        width = np.diff(np.asarray(self.plan.dim_bounds), axis=1)[:, 0]
+        return np.outer(self._shard_size(), width * 4).ravel()
+
     def node_accumulator_bytes(self) -> np.ndarray:
         """Pre-allocated partial-result buffer per node (0 when
         ``B_dim = 1`` — vector partitioning needs no accumulators)."""
         if self.plan.b_dim == 1:
             return np.zeros(self.plan.n_nodes)
-        _, base, ids = self.shard_rows()
-        shard = np.diff(base, append=len(ids)).astype(float)
-        return ACCUM_BYTES_PER_VECTOR * np.repeat(shard, self.plan.b_dim)
+        return ACCUM_BYTES_PER_VECTOR * np.repeat(self._shard_size(),
+                                                  self.plan.b_dim)
 
     def node_memory_bytes(self) -> np.ndarray:
         """Per-node resident index memory: cell data + accumulators.
-        ``max()`` of this is the Table 4 per-method figure."""
+        Table 4 reports the mean of this over the nodes."""
         return self.node_index_bytes + self.node_accumulator_bytes()
 
     def unpersist(self) -> None:
@@ -174,11 +167,11 @@ def distribute(
     grid cell: the batch rows' positions in their shard (:func:`shard_rows`,
     looked up by id) and their slice of the cell's dimension block.
     ``partitionBy(n_nodes)`` — the custom partitioner, keyed by node —
-    sends each record to its cell's node, which scatters the rows into one
-    :class:`CellStore`. The one job that materialises the cells also
-    returns each cell's size and the first ``prewarm_per_cluster`` rows of
-    each of its clusters, which the driver joins across dimension blocks
-    into the client's prewarm sample.
+    sends each record to its cell's node, which scatters the rows into its
+    cell matrix (an empty shard's is ``(0, width)``). The one job that
+    materialises the cells also returns the first ``prewarm_per_cluster``
+    rows of each cell's clusters, which the driver joins across dimension
+    blocks into the client's prewarm sample.
     """
     import pandas as pd
 
@@ -209,16 +202,12 @@ def distribute(
 
     @spark_task
     def build_cells(parts):
-        mat = None
-        for node, (rows, block) in parts:
-            v, b = plan.node_cell(node)
-            if mat is None:
-                mat = np.empty((shard_size[v], plan.block_dims(b)),
-                               dtype=np.float32)
+        v, b = plan.node_cell(TaskContext.get().partitionId())
+        mat = np.empty((shard_size[v], plan.block_dims(b)), dtype=np.float32)
+        for _, (rows, block) in parts:
             rows = np.frombuffer(rows, dtype=np.int64)
             mat[rows] = np.frombuffer(block, np.float32).reshape(len(rows), -1)
-        if mat is not None:
-            yield CellStore(v, b, mat)
+        yield mat
 
     rdd = (
         df.mapInPandas(cell_parts, "node long, cell array<binary>").rdd
@@ -231,20 +220,18 @@ def distribute(
     head = np.minimum(sizes, prewarm_per_cluster)
 
     @spark_task
-    def cell_bytes(cells):
-        for cell in cells:
-            yield (plan.cell_node(cell.vblock, cell.dimblock), cell.nbytes(),
-                   {int(c): cell.mat[row0[c]:row0[c] + head[c]]
-                    for c in plan.clusters_of_vblock(cell.vblock)})
+    def cell_heads(cells):
+        v, _ = plan.node_cell(TaskContext.get().partitionId())
+        for mat in cells:
+            yield {int(c): mat[row0[c]:row0[c] + head[c]]
+                   for c in plan.clusters_of_vblock(v)}
 
-    node_bytes = np.zeros(plan.n_nodes)
-    heads = {}
-    for node, nbytes, cell_heads in rdd.mapPartitions(cell_bytes).collect():
-        node_bytes[node] = nbytes
-        heads[plan.node_cell(node)] = cell_heads
+    # One dict per partition, so ``heads[n]`` is node n's.
+    heads = rdd.mapPartitions(cell_heads).collect()
     # Prewarm sample: first rows of every cluster, full dimensionality.
     prewarm_rows = {
-        c: np.hstack([heads[c2v[c], b][c] for b in range(b_dim)])
+        c: np.hstack([heads[plan.cell_node(c2v[c], b)][c]
+                      for b in range(b_dim)])
         for c, n in enumerate(sizes) if n
     }
     return DistributedIndex(
@@ -253,5 +240,4 @@ def distribute(
         cluster_ids=cluster_ids,
         prewarm_rows=prewarm_rows,
         rdd=rdd,
-        node_index_bytes=node_bytes,
     )

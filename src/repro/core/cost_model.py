@@ -40,7 +40,7 @@ class CostParams:
     fraction of distance work that dimension-level early stopping skips
     (paper §3.1 measures 50-97% on real data; Table 3 averages ~45%).
     It lets the planner credit ``B_dim > 1`` grids for their pruning
-    savings; set 0 when pruning is disabled.
+    savings.
     """
 
     machine: MachineModel = MachineModel()
@@ -66,9 +66,7 @@ class QueryProfile:
     * ``cluster_sizes[c]`` — vectors per cluster.
     """
 
-    n_queries: int
     dim: int
-    nprobe: int
     k: int
     probe_counts: np.ndarray
     cluster_sizes: np.ndarray
@@ -86,9 +84,7 @@ class QueryProfile:
         probes = probe_clusters(centroids, queries, nprobe)
         counts = np.bincount(probes.ravel(), minlength=len(centroids))
         return cls(
-            n_queries=len(queries),
             dim=centroids.shape[1],
-            nprobe=min(nprobe, len(centroids)),
             k=k,
             probe_counts=counts.astype(np.float64),
             cluster_sizes=np.asarray(cluster_sizes, dtype=np.float64),
@@ -106,8 +102,7 @@ class QueryProfile:
     ) -> "QueryProfile":
         """A skew-free profile: every cluster probed equally often."""
         counts = np.full(nlist, n_queries * nprobe / nlist)
-        return cls(n_queries, dim, nprobe, k, counts,
-                   np.asarray(cluster_sizes, dtype=np.float64))
+        return cls(dim, k, counts, np.asarray(cluster_sizes, dtype=np.float64))
 
 
 @dataclass

@@ -20,7 +20,7 @@ the top-K heaps, and orchestrates the two pipelines —
 
 Data path: a search batch is one task table. A *task* is one (round,
 wave, query); tasks are ordered that way, and each is a run of segments
-``(row0, len)`` into its shard's contiguous cell rows (:class:`CellStore`).
+``(row0, len)`` into its shard's rows in the cell matrix of each block.
 Round ``r``'s stages follow those of the rounds before it, so each task
 has a global start stage ``t0`` and computes position ``t - t0`` at global
 stage ``t``. Per candidate the driver keeps only ``alive`` and ``S²``. The
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from pyspark import TaskContext
 
 from repro.cluster.layout import DistributedIndex
 from repro.cluster.machine import MachineModel
@@ -49,6 +50,7 @@ from repro.core.pruning import TopK, prune_mask
 from repro.core.router import (POLICIES, assign_query_groups, dim_order,
                                queries_per_vblock)
 from repro.ivf.index import check_search_args, probe_clusters
+from repro.ivf.kmeans import sq_l2
 from repro.sparkutil import spark_task
 
 #: Relative slack on τ² when pruning. S² is summed block by block, while
@@ -153,9 +155,10 @@ def _scan_worker(payload_bc):
     ``payload_bc`` broadcasts ``(stages, queries, bounds, b_dim,
     finalize_k)``; a stage is ``(tasks, segs, bits)``: per task (cell
     node, query, segment count), the segments and ``np.packbits`` of the
-    ``alive`` flags. A worker computes the squared L2 over its block of its
-    tasks' live candidates: ``mat.take(rows) - q.take(task)``, square,
-    ``sum(axis=1)``, in chunks. It returns ``(stage, node, keep, d)``:
+    ``alive`` flags. Partition ``n`` holds node ``n``'s cell matrix; a
+    worker computes :func:`~repro.ivf.kmeans.sq_l2` of its tasks' live
+    candidates over its block, in chunks. It returns
+    ``(stage, node, keep, d)``:
 
     * ``finalize_k is None``: ``keep`` is None and ``d`` holds the float32
       partial sums of the live candidates, in stage order;
@@ -168,9 +171,9 @@ def _scan_worker(payload_bc):
     def scan(cells):
         out = []
         stages, queries, bounds, b_dim, finalize_k = payload_bc.value
-        for cell in cells:
-            node = cell.vblock * b_dim + cell.dimblock
-            lo, hi = bounds[cell.dimblock]
+        node = TaskContext.get().partitionId()
+        for mat in cells:
+            lo, hi = bounds[node % b_dim]
             qblock = np.ascontiguousarray(queries[:, lo:hi])
             for i, (tasks, segs, bits) in enumerate(stages):
                 seg_task = np.repeat(np.arange(len(tasks)), tasks[:, 2])
@@ -186,9 +189,8 @@ def _scan_worker(payload_bc):
                 d = np.empty(len(cand), dtype=np.float32)
                 for a in range(0, len(cand), _SCAN_ROWS):
                     sl = slice(a, a + _SCAN_ROWS)
-                    diff = (cell.mat.take(rows[sl], axis=0)
-                            - qblock.take(tasks[task[sl], 1], axis=0))
-                    d[sl] = (diff * diff).sum(axis=1)
+                    d[sl] = sq_l2(mat.take(rows[sl], axis=0),
+                                  qblock.take(tasks[task[sl], 1], axis=0))
                 if finalize_k is None:
                     out.append((i, node, None, d))
                     continue
@@ -252,8 +254,7 @@ class HarmonyEngine:
             pw = di.prewarm_rows.get(c0)
             if pw is None or not len(pw):
                 continue
-            diff = pw - queries[q]
-            d = (diff * diff).sum(axis=1).astype(np.float64)
+            d = sq_l2(pw, queries[q]).astype(np.float64)
             topk.update(q, di.cluster_ids[c0][: len(pw)], d)
             scanned[q] = len(pw)
             metrics.client_ops += len(pw) * di.dim

@@ -2,10 +2,11 @@
 
 Mirrors the paper's ``-Mode`` parameter: ``harmony`` (adaptive grid via
 the cost model), ``vector`` (Harmony-vector, ``B_dim=1``) and
-``dimension`` (Harmony-dimension, ``B_vec=1``), plus the pruning knob of
-§5 "Parameters"; the engine's scheduling knobs are set with
-:meth:`HarmonySearcher.with_engine`. The cost model's α is 1 and its
-machine is the default :class:`~repro.cluster.machine.MachineModel`.
+``dimension`` (Harmony-dimension, ``B_vec=1``). The engine's knobs —
+the schedule, the wave count and the pruning switch of §5 "Parameters" —
+are set with :meth:`HarmonySearcher.with_engine`. The planner uses the
+default :class:`~repro.core.cost_model.CostParams`: α = 1, the default
+:class:`~repro.cluster.machine.MachineModel` and pruning prior 0.6.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from repro.cluster.layout import (
 )
 from repro.core.cost_model import (
     CostBreakdown,
-    CostParams,
     QueryProfile,
     choose_plan,
 )
@@ -39,15 +39,14 @@ MODES = ("harmony", "vector", "dimension")
 class HarmonyConfig:
     """Build/search configuration (the paper's CLI parameters).
 
-    ``n_nodes`` = ``-NMachine``; ``use_pruning`` =
-    ``-Pruning_Configuration``; ``nlist`` = indexing parameter;
-    ``mode`` = ``-Mode``.
+    ``n_nodes`` = ``-NMachine``; ``nlist`` = indexing parameter;
+    ``mode`` = ``-Mode``. ``-Pruning_Configuration`` is an engine knob:
+    ``with_engine(use_pruning=...)``.
     """
 
     n_nodes: int = 4
     mode: str = "harmony"
     nlist: int = 64
-    use_pruning: bool = True
     prewarm_per_cluster: int = 32
     balanced: bool = True
     #: Planner hints when no profile queries are supplied.
@@ -83,11 +82,7 @@ def _plan(config, centroids, sizes, profile_queries):
     if config.mode == "dimension":
         return make_plan(config.n_nodes, 1, config.n_nodes, dim, sizes,
                          config.balanced), None
-    return choose_plan(
-        config.n_nodes, profile,
-        CostParams(pruning_prior=0.6 if config.use_pruning else 0.0),
-        balanced=config.balanced,
-    )
+    return choose_plan(config.n_nodes, profile, balanced=config.balanced)
 
 
 @dataclass
@@ -144,7 +139,7 @@ class HarmonySearcher:
         finally:
             if not cached:
                 df.unpersist()
-        engine = HarmonyEngine(di, use_pruning=config.use_pruning)
+        engine = HarmonyEngine(di)
         return cls(di, config, engine, cost)
 
     def search(

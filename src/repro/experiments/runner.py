@@ -117,13 +117,6 @@ class DatasetBundle:
             )
         return self._searchers[key]
 
-    def workload(self, skew: float = 0.0) -> np.ndarray:
-        """Query batch at the requested center-skew level (0 = natural)."""
-        if skew == 0.0:
-            return self.queries
-        sf = self.cfg.sf_for(self.spec)
-        return queries_numpy(self.spec, sf, skew=skew)
-
     def imbalanced_workload(self, frac: float, node: int = 0) -> np.ndarray:
         """Engineered skew (paper §6.2.2: "query sets are manipulated to
         ensure different load differences on each machine").
@@ -165,11 +158,10 @@ class DatasetBundle:
         q[:n_hot] = cand[np.argsort(-score)[:n_hot]]
         return q
 
-    def faiss(self, queries: np.ndarray | None = None) -> BaselineResult:
-        """Run the single-node baseline on ``queries``."""
-        q = self.queries if queries is None else queries
+    def faiss(self) -> BaselineResult:
+        """Run the single-node baseline on the natural query batch."""
         return search_ivf_flat(
-            self.ivf, q, k=self.cfg.k, nprobe=self.cfg.nprobe
+            self.ivf, self.queries, k=self.cfg.k, nprobe=self.cfg.nprobe
         )
 
     def close(self) -> None:

@@ -95,12 +95,14 @@ def check_search_args(
     queries: np.ndarray, dim: int, k: int, nprobe: int
 ) -> np.ndarray:
     """``queries`` as a C-contiguous float32 ``(Q, dim)`` array, after
-    checking every search argument; a bad one raises ``ValueError``
+    checking every search argument (``k`` and ``nprobe`` must be positive
+    Python or numpy integers, not bools); a bad one raises ``ValueError``
     naming it."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    if nprobe <= 0:
-        raise ValueError(f"nprobe must be positive, got {nprobe}")
+    for name, n in (("k", k), ("nprobe", nprobe)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
+        if n <= 0:
+            raise ValueError(f"{name} must be positive, got {n}")
     queries = np.ascontiguousarray(queries, dtype=np.float32)
     if queries.ndim != 2:
         raise ValueError(

@@ -43,6 +43,21 @@ def pairwise_sq_l2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
+def sq_l2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared L2 distances of the rows of ``a`` to ``b`` (one row, or one
+    row per row of ``a``), float32, summed from the differences.
+
+    Every search and its ground truth use this one rule. The BLAS form of
+    :func:`pairwise_sq_l2`, ``|a|² + |b|² - 2a·b``, rounds differently (it
+    cancels when rows are close), so it would change the distances, the
+    engine's pruning decisions and metering, and the exact comparisons
+    with the baselines. Squaring in place saves the scan's chunk loop an
+    allocation (the same products, so the same sums)."""
+    diff = a - b
+    diff *= diff
+    return diff.sum(axis=1)
+
+
 def kmeans(
     x: np.ndarray, k: int, seed: int = 0, n_iter: int = 15
 ) -> np.ndarray:

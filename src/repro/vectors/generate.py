@@ -40,20 +40,12 @@ def mixture_centers(spec: DatasetSpec, seed: int = 0) -> np.ndarray:
             dim_scales(spec)).astype(np.float32)
 
 
-def _center_probs(spec: DatasetSpec, skew: float) -> np.ndarray:
-    """Mixture weights: uniform at ``skew=0``, Zipf-like otherwise."""
-    ranks = np.arange(1, spec.n_centers + 1, dtype=np.float64)
-    w = ranks ** (-skew) if skew > 0 else np.ones_like(ranks)
-    return w / w.sum()
-
-
 def block_rows(
     spec: DatasetSpec,
     centers: np.ndarray,
     blk: int,
     n_rows: int,
     seed: int,
-    skew: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generate rows for block ``blk``: ``(center_ids, X_float32)``.
 
@@ -61,7 +53,10 @@ def block_rows(
     number of rows of this (possibly last, partial) block.
     """
     g = np.random.default_rng([seed, blk])
-    cids = g.choice(spec.n_centers, size=n_rows, p=_center_probs(spec, skew))
+    # Uniform mixture weights, passed as ``p``: without it ``choice``
+    # draws from another stream and every vector changes.
+    n = spec.n_centers
+    cids = g.choice(n, size=n_rows, p=np.full(n, 1.0 / n))
     noise = g.standard_normal((n_rows, spec.dim)).astype(np.float32)
     # Per-point radial factor: spreads candidate distances the way real
     # (non-shell) embedding clouds do — see DatasetSpec.radial_sigma.
@@ -89,12 +84,8 @@ def base_numpy(spec: DatasetSpec, sf: float, seed: int = 0) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def queries_numpy(
-    spec: DatasetSpec, sf: float, seed: int = 1, skew: float = 0.0
-) -> np.ndarray:
-    """Query vectors at scale ``sf``; ``skew`` > 0 concentrates queries on
-    few mixture components (Zipf weights), producing the skewed workloads
-    of paper §6.2.2 / Figure 7."""
+def queries_numpy(spec: DatasetSpec, sf: float, seed: int = 1) -> np.ndarray:
+    """Query vectors at scale ``sf``."""
     nq = spec.n_query(sf)
     # Queries share the base mixture (seed-0 centers) but use their own
     # noise stream, offset so query blocks never collide with base blocks.
@@ -102,9 +93,7 @@ def queries_numpy(
     parts = []
     for blk in range((nq + BLOCK - 1) // BLOCK):
         rows = min(BLOCK, nq - blk * BLOCK)
-        parts.append(
-            block_rows(spec, centers, blk + (1 << 20), rows, seed, skew)[1]
-        )
+        parts.append(block_rows(spec, centers, blk + (1 << 20), rows, seed)[1])
     return np.concatenate(parts, axis=0)
 
 

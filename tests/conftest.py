@@ -76,8 +76,8 @@ def assert_same_distances(dists, ref_dists, rtol=1e-4, atol=1e-4):
 
 
 #: Search arguments every entry point must reject with a ValueError.
-BAD_SEARCH_CASES = ("k=0", "k<0", "nprobe=0", "1-D", "wrong-dim", "NaN",
-                    "inf")
+BAD_SEARCH_CASES = ("k=0", "k<0", "k=2.5", "nprobe=0", "nprobe=1.5", "1-D",
+                    "wrong-dim", "NaN", "inf")
 
 
 def bad_search_kwargs(q, case):
@@ -90,7 +90,9 @@ def bad_search_kwargs(q, case):
     return {
         "k=0": ({"k": 0}, "k"),
         "k<0": ({"k": -1}, "k"),
+        "k=2.5": ({"k": 2.5}, "k"),
         "nprobe=0": ({"nprobe": 0}, "nprobe"),
+        "nprobe=1.5": ({"nprobe": 1.5}, "nprobe"),
         "1-D": ({"queries": q[0]}, "queries"),
         "wrong-dim": ({"queries": q[:, :-1]}, "queries"),
         "NaN": ({"queries": nan}, "queries"),

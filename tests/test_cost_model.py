@@ -26,7 +26,7 @@ def _uniform_profile(sizes=None):
 def _skewed_profile(hot=0):
     counts = np.full(NLIST, 1.0)
     counts[hot] = NQ * NPROBE  # one scorching cluster
-    return QueryProfile(NQ, DIM, NPROBE, K, counts, np.full(NLIST, 100.0))
+    return QueryProfile(DIM, K, counts, np.full(NLIST, 100.0))
 
 
 def _plan(bv, bd, weights=None):
@@ -80,8 +80,7 @@ def test_query_slice_bytes_invariant():
     # clusters (no candidates, no partials), comm differs only by k-up.
     params = CostParams(pruning_prior=0.0,
                         machine=MachineModel(latency_sec=0.0))
-    prof = QueryProfile(NQ, DIM, NPROBE, K,
-                        np.full(NLIST, 5.0), np.zeros(NLIST))
+    prof = QueryProfile(DIM, K, np.full(NLIST, 5.0), np.zeros(NLIST))
     c_vec = plan_cost(_plan(4, 1), prof, params)
     c_dim = plan_cost(_plan(1, 4), prof, params)
     # same query-slice bytes; dim has no k-result advantage here
@@ -156,8 +155,7 @@ def test_choose_plan_returns_consistent_cost():
 
 def test_choose_plan_respects_low_dim():
     # dim=2 caps b_dim at 2 even with 4 nodes.
-    prof = QueryProfile(NQ, 2, NPROBE, K, np.full(NLIST, 1e6),
-                        np.full(NLIST, 1e6))
+    prof = QueryProfile(2, K, np.full(NLIST, 1e6), np.full(NLIST, 1e6))
     plan, _ = choose_plan(4, prof, CostParams(alpha=1e12))
     assert plan.b_dim <= 2
 

@@ -6,6 +6,7 @@ from repro.ivf.index import (
     IVFIndex,
     assign_clusters,
     build_ivf,
+    check_search_args,
     probe_clusters,
 )
 from repro.vectors.generate import base_numpy, queries_numpy
@@ -108,3 +109,13 @@ def test_ivfindex_dataclass_roundtrip(index):
     clone = IVFIndex(index.centroids, index.cluster_ids,
                      index.cluster_vectors)
     assert clone.memory_bytes() == index.memory_bytes()
+
+
+def test_search_args_take_numpy_ints_not_bools(data):
+    q = data[1]
+    out = check_search_args(q, SPEC.dim, np.int64(3), np.int32(2))
+    np.testing.assert_array_equal(out, q)
+    for name in ("k", "nprobe"):
+        args = {"k": 3, "nprobe": 2, name: True}
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            check_search_args(q, SPEC.dim, **args)

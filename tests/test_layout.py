@@ -1,38 +1,81 @@
 """Distributed layout: custom partitioner placement, storage accounting."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.cluster.layout import (ACCUM_BYTES_PER_VECTOR, DistributedIndex,
-                                  shard_rows, train_centroids)
+                                  distribute, shard_rows, train_centroids)
+from repro.core.engine import HarmonyEngine
 from repro.core.partition import make_plan
 from repro.ivf import index
 from repro.ivf.kmeans import kmeans
-from tests.conftest import TEST_NLIST
+from tests.conftest import (TEST_K, TEST_NLIST, TEST_NPROBE,
+                            assert_same_distances)
 
 
-def _cells(searcher):
-    """Collect (partition_index, CellStore) pairs from the index RDD."""
-    return searcher.di.rdd.mapPartitionsWithIndex(
-        lambda i, it: [(i, c) for c in it]
+def _cells(di):
+    """``[(partition index, matrix)]`` for every matrix of the index RDD."""
+    return di.rdd.mapPartitionsWithIndex(
+        lambda i, it: [(i, mat) for mat in it]
     ).collect()
 
 
-@pytest.mark.parametrize("mode", ["harmony", "vector", "dimension"])
-def test_cells_on_prescribed_nodes(built, mode):
+#: The three built modes and the 2x2 ``hybrid`` fixture's grid.
+LAYOUTS = ["harmony", "vector", "dimension", "hybrid"]
+
+
+def _index(built, hybrid, mode):
+    return hybrid if mode == "hybrid" else built[mode].di
+
+
+@pytest.mark.parametrize("mode", LAYOUTS)
+def test_cells_on_prescribed_nodes(built, hybrid, ds, mode):
     # The custom partitioner must place cell (v, b) exactly on partition
-    # plan.cell_node(v, b) — partition i IS simulated node i.
-    s = built[mode]
-    plan = s.di.plan
-    for part_idx, cell in _cells(s):
-        assert part_idx == plan.cell_node(cell.vblock, cell.dimblock)
+    # plan.cell_node(v, b) — partition n IS simulated node n, and holds
+    # the rows of shard v restricted to block b, in shard_rows order.
+    di = _index(built, hybrid, mode)
+    _, base, ids = di.shard_rows()
+    ends = np.append(base[1:], len(ids))
+    for n, mat in _cells(di):
+        v, b = di.plan.node_cell(n)
+        lo, hi = di.plan.dim_bounds[b]
+        shard = ids[base[v]:ends[v]]
+        np.testing.assert_array_equal(mat, ds["x"][shard, lo:hi])
 
 
-@pytest.mark.parametrize("mode", ["harmony", "vector", "dimension"])
-def test_one_cell_per_node(built, mode):
-    s = built[mode]
-    cells = _cells(s)
-    assert len(cells) == s.di.plan.n_nodes
-    assert len({(c.vblock, c.dimblock) for _, c in cells}) == len(cells)
+@pytest.mark.parametrize("mode", LAYOUTS)
+def test_one_cell_per_node(built, hybrid, mode):
+    di = _index(built, hybrid, mode)
+    assert [n for n, _ in _cells(di)] == list(range(di.plan.n_nodes))
+
+
+@pytest.mark.parametrize("mode", LAYOUTS)
+def test_index_bytes_are_cell_bytes(built, hybrid, mode):
+    # node_index_bytes is derived from the routing table; it must be the
+    # bytes partition n actually holds.
+    di = _index(built, hybrid, mode)
+    held = np.zeros(di.plan.n_nodes)
+    for n, mat in _cells(di):
+        held[n] = mat.nbytes
+    np.testing.assert_array_equal(di.node_index_bytes, held)
+
+
+def test_empty_shard_holds_empty_cells(ds, baseline_ref):
+    # Shard 1 of this 2x2 grid holds no cluster: its nodes still hold one
+    # (0, width) matrix each, and searches pass over them.
+    ivf = ds["ivf"]
+    plan = replace(make_plan(4, 2, 2, ivf.dim, ivf.cluster_sizes()),
+                   cluster_to_vblock=(0,) * ivf.nlist)
+    di = distribute(ds["df"], plan, ivf.centroids, ivf.cluster_ids, 8)
+    try:
+        shapes = [(n, mat.shape) for n, mat in _cells(di)]
+        res = HarmonyEngine(di).search(ds["q"], k=TEST_K, nprobe=TEST_NPROBE)
+    finally:
+        di.unpersist()
+    assert shapes[2:] == [(2, (0, plan.block_dims(0))),
+                          (3, (0, plan.block_dims(1)))]
+    assert_same_distances(res.dists, baseline_ref.dists)
 
 
 def test_no_replication_total_bytes(built, ds):
@@ -45,22 +88,18 @@ def test_no_replication_total_bytes(built, ds):
 
 
 def test_cell_rows_are_id_sorted_slices(built, ds):
-    # Worker rows must align with the driver routing table: a cell of
-    # shard v holds the vectors ids[base[v]:base[v] + n_v] restricted to
-    # its dimension block, cluster c at rows row0[c]:row0[c] + size_c in
-    # id order (shard_rows), for every mode.
+    # Worker rows must align with the driver routing table: in a cell of
+    # shard v, cluster c is rows row0[c]:row0[c] + size_c in id order
+    # (shard_rows), for every mode.
     x = ds["x"]
     for mode in ("harmony", "vector", "dimension"):
         di = built[mode].di
-        row0, base, ids = shard_rows(di.plan, di.cluster_ids)
-        for _, cell in _cells(built[mode]):
-            lo, hi = di.plan.dim_bounds[cell.dimblock]
-            clusters = di.plan.clusters_of_vblock(cell.vblock)
-            n_v = sum(len(di.cluster_ids[c]) for c in clusters)
-            shard = ids[base[cell.vblock]:base[cell.vblock] + n_v]
-            np.testing.assert_array_equal(cell.mat, x[shard, lo:hi])
-            for c in clusters:
-                rows = cell.mat[row0[c]:row0[c] + len(di.cluster_ids[c])]
+        row0, _, _ = shard_rows(di.plan, di.cluster_ids)
+        for n, mat in _cells(di):
+            v, b = di.plan.node_cell(n)
+            lo, hi = di.plan.dim_bounds[b]
+            for c in di.plan.clusters_of_vblock(v):
+                rows = mat[row0[c]:row0[c] + len(di.cluster_ids[c])]
                 np.testing.assert_array_equal(rows,
                                               x[di.cluster_ids[c], lo:hi])
 
@@ -120,8 +159,7 @@ def test_accumulator_bytes_count_shard_vectors():
     sizes = np.array([5, 0, 7, 3, 2])
     plan = make_plan(4, 2, 2, 8, sizes)
     di = DistributedIndex(plan, np.zeros((5, 8)),
-                          [np.arange(n) for n in sizes], {}, None,
-                          np.zeros(4))
+                          [np.arange(n) for n in sizes], {}, None)
     want = np.zeros(4)
     for c, v in enumerate(plan.cluster_to_vblock):
         for b in range(plan.b_dim):

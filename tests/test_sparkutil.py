@@ -119,6 +119,6 @@ def test_every_spark_function_is_wrapped(spark, ds, monkeypatch):
     assert {(name, f.__name__) for name, f in seen} == {
         ("mapInPandas", "gen"), ("mapInPandas", "assign"),
         ("mapInPandas", "cell_parts"), ("mapPartitions", "build_cells"),
-        ("mapPartitions", "cell_bytes"), ("mapPartitions", "scan"),
+        ("mapPartitions", "cell_heads"), ("mapPartitions", "scan"),
     }
     assert all(f.__code__ is task_code for _, f in seen)
