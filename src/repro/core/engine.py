@@ -23,9 +23,12 @@ wave, query); tasks are ordered that way, and each is a run of segments
 ``(row0, len)`` into its shard's rows in the cell matrix of each block.
 Round ``r``'s stages follow those of the rounds before it, so each task
 has a global start stage ``t0`` and computes position ``t - t0`` at global
-stage ``t``. Per candidate the driver keeps only ``alive`` and ``S²``. The
-tasks of a global stage are one contiguous slice, sent as a task table,
-segments and packed ``alive`` bits (:func:`_scan_worker`). One Spark job
+stage ``t``. Per candidate the driver keeps only ``alive`` and ``S²``, per
+task its live count. The tasks of a global stage are one contiguous slice,
+sent as a task table, segments and packed ``alive`` bits
+(:func:`_scan_worker`); a worker returns one dense partial-sum array per
+stage, so the driver folds each task with one slice add and one prune
+against its query's τ². One Spark job
 runs each global stage when ``B_dim > 1`` (τ² must tighten between
 stages), and all ``B_vec`` rounds when ``B_dim = 1`` (workers cut to a
 local top-k and never read τ²). Every stage (a round, when ``B_dim = 1``)
@@ -49,7 +52,7 @@ from repro.core.cost_model import (BYTES_PER_PARTIAL, BYTES_PER_POSITION,
 from repro.core.pruning import TopK, prune_mask
 from repro.core.router import (POLICIES, assign_query_groups, dim_order,
                                queries_per_vblock)
-from repro.ivf.index import check_search_args, probe_clusters
+from repro.ivf.index import check_count, check_search_args, probe_clusters
 from repro.ivf.kmeans import sq_l2
 from repro.sparkutil import spark_task
 
@@ -57,7 +60,7 @@ from repro.sparkutil import spark_task
 #: the heap's distances may be summed in another order (prewarm sums whole
 #: vectors), so rounding alone must never prune a candidate that ties τ².
 _PRUNE_MARGIN = 1e-5
-#: Candidates the driver folds or finishes per chunk (bounds temporaries).
+#: Candidates the driver finishes per chunk (bounds temporaries).
 _CHUNK = 1 << 15
 #: Rows a worker gathers per chunk (keeps its temporaries in cache).
 _SCAN_ROWS = 1024
@@ -74,9 +77,10 @@ class SearchReport:
     #: position ``s`` executed (Table 3 numerators; position 0 is 0).
     skipped_at_position: np.ndarray
     b_dim: int
-    #: One ``(stage labels, wall seconds)`` per Spark job, in run order;
-    #: a job is timed from its broadcast to its unpersist.
-    jobs: list[tuple[list[str], float]]
+    #: One ``(stage labels, wall seconds, fold seconds)`` per Spark job, in
+    #: run order; a job is timed from its broadcast to its unpersist, and
+    #: its fold is the driver's time folding and finishing its stages.
+    jobs: list[tuple[list[str], float, float]]
 
     def pruning_ratios(self) -> np.ndarray:
         """Table 3 per-slice pruning ratios (fraction of distance
@@ -92,7 +96,7 @@ class SearchReport:
     def to_dict(self) -> dict:
         """JSON-safe summary: totals, per-position skips, every stage's
         per-node ops, bytes down, bytes up and messages, and every Spark
-        job's stage labels and wall time."""
+        job's stage labels, wall time and driver fold time."""
         m = self.metrics
         return {
             "pairs_total": int(self.pairs_total),
@@ -101,8 +105,9 @@ class SearchReport:
             "client_ops": float(m.client_ops),
             "peak_buffer_bytes": m.peak_buffer_bytes.tolist(),
             "stages": [st.to_dict() for st in m.stages],
-            "jobs": [{"labels": list(labels), "wall_s": wall_s}
-                     for labels, wall_s in self.jobs],
+            "jobs": [{"labels": list(labels), "wall_s": wall_s,
+                      "fold_s": fold_s}
+                     for labels, wall_s, fold_s in self.jobs],
         }
 
 
@@ -119,14 +124,18 @@ class SearchResult:
 @dataclass
 class _Tasks:
     """A search batch's tasks as flat arrays. Per task: query, shard, start
-    stage ``t0``, block ``order`` by position, and (one longer) ``first``
-    candidate and segment ``seg0``. ``segs`` is ``(n_segs, 2)`` int32
-    ``(row0, len)``; ``labels[t]`` names global stage ``t``."""
+    stage ``t0``, block ``order`` by position, ``live`` candidate count,
+    and (one longer) ``first`` candidate and segment ``seg0``. ``segs`` is
+    ``(n_segs, 2)`` int32 ``(row0, len)``; ``labels[t]`` names global
+    stage ``t``. The dimension fold keeps ``live`` equal to the task's
+    ``alive`` count; a ``B_dim = 1`` task runs a single stage, so its
+    count is not read after it."""
 
     q: np.ndarray
     v: np.ndarray
     t0: np.ndarray
     order: np.ndarray
+    live: np.ndarray
     first: np.ndarray
     seg0: np.ndarray
     segs: np.ndarray
@@ -154,17 +163,20 @@ def _scan_worker(payload_bc):
 
     ``payload_bc`` broadcasts ``(stages, queries, bounds, b_dim,
     finalize_k)``; a stage is ``(tasks, segs, bits)``: per task (cell
-    node, query, segment count), the segments and ``np.packbits`` of the
-    ``alive`` flags. Partition ``n`` holds node ``n``'s cell matrix; a
-    worker computes :func:`~repro.ivf.kmeans.sq_l2` of its tasks' live
-    candidates over its block, in chunks. It returns
-    ``(stage, node, keep, d)``:
+    node, query, segment count, live count), the segments and
+    ``np.packbits`` of the ``alive`` flags. Partition ``n`` holds node
+    ``n``'s cell matrix; a worker takes its tasks with live candidates and
+    computes :func:`~repro.ivf.kmeans.sq_l2` of those candidates over its
+    block, in chunks. It returns ``(stage, node, keep, d)``, none for a
+    stage where it has no such task:
 
     * ``finalize_k is None``: ``keep`` is None and ``d`` holds the float32
-      partial sums of the live candidates, in stage order;
+      partial sums of every candidate of those tasks, in stage order, 0
+      where the candidate is no longer alive;
     * ``finalize_k = k`` (whole-vector cells, ``B_dim = 1``): each task is
       cut to its local top-k (ties kept), like a real Harmony-vector
-      worker; ``keep`` holds the kept candidates' stage offsets.
+      worker; ``keep`` holds the kept candidates' stage offsets and ``d``
+      their distances.
     """
 
     @spark_task
@@ -177,29 +189,30 @@ def _scan_worker(payload_bc):
             qblock = np.ascontiguousarray(queries[:, lo:hi])
             for i, (tasks, segs, bits) in enumerate(stages):
                 seg_task = np.repeat(np.arange(len(tasks)), tasks[:, 2])
-                mine = tasks[seg_task, 0] == node
+                mine = ((tasks[:, 0] == node) & (tasks[:, 3] > 0))[seg_task]
+                if not mine.any():
+                    continue
                 lens = segs[:, 1].astype(np.int64)
                 cand = _expand(np.cumsum(lens)[mine] - lens[mine], lens[mine])
                 live = np.unpackbits(bits).view(bool)[cand]
-                if not live.any():
-                    continue
-                cand = cand[live]
                 rows = _expand(segs[mine, 0], lens[mine])[live]
                 task = np.repeat(seg_task[mine], lens[mine])[live]
-                d = np.empty(len(cand), dtype=np.float32)
-                for a in range(0, len(cand), _SCAN_ROWS):
+                d = np.empty(len(rows), dtype=np.float32)
+                for a in range(0, len(rows), _SCAN_ROWS):
                     sl = slice(a, a + _SCAN_ROWS)
                     d[sl] = sq_l2(mat.take(rows[sl], axis=0),
                                   qblock.take(tasks[task[sl], 1], axis=0))
                 if finalize_k is None:
-                    out.append((i, node, None, d))
+                    dense = np.zeros(len(cand), dtype=np.float32)
+                    dense[live] = d
+                    out.append((i, node, None, dense))
                     continue
                 keep = []
                 for part in np.split(d, np.flatnonzero(np.diff(task)) + 1):
                     kk = min(finalize_k, len(part)) - 1
                     keep.append(part <= np.partition(part, kk)[kk])
                 keep = np.concatenate(keep)
-                out.append((i, node, cand[keep], d[keep]))
+                out.append((i, node, cand[live][keep], d[keep]))
         return out
 
     return scan
@@ -218,6 +231,7 @@ class HarmonyEngine:
         if schedule not in POLICIES:
             raise ValueError(
                 f"unknown schedule {schedule!r}; one of {POLICIES}")
+        check_count("n_waves", n_waves)
         self.di = di
         self.schedule = schedule
         self.use_pruning = use_pruning
@@ -260,10 +274,9 @@ class HarmonyEngine:
             metrics.client_ops += len(pw) * di.dim
 
         # Vector pipeline rounds (Fig. 5a) of dimension stages (Fig. 5b).
-        tab = self._layout(probes, scanned,
-                           max(1, self.n_waves) if b_dim > 1 else 1)
+        tab = self._layout(probes, scanned, self.n_waves if b_dim > 1 else 1)
         skipped = np.zeros(b_dim)
-        jobs: list[tuple[list[str], float]] = []
+        jobs: list[tuple[list[str], float, float]] = []
         run = partial(self._run_stage, tab, queries=queries, k=k, topk=topk,
                       metrics=metrics, skipped=skipped, jobs=jobs)
         if b_dim == 1:
@@ -322,7 +335,7 @@ class HarmonyEngine:
         return _Tasks(
             q=q, v=(groups[q] + r) % b_vec, t0=(np.cumsum(span) - span)[r] + w,
             order=np.zeros((len(q), b_dim), dtype=np.int64),
-            first=first[seg0], seg0=seg0, segs=segs,
+            live=np.diff(first[seg0]), first=first[seg0], seg0=seg0, segs=segs,
             alive=np.ones(first[-1], dtype=bool), s2=np.zeros(first[-1]),
             labels=[f"r{i}t{t}" for i in range(b_vec) for t in range(span[i])],
         )
@@ -340,7 +353,7 @@ class HarmonyEngine:
         table, segments and packed ``alive`` bits (see :func:`_scan_worker`)
         and folded in, in stage order, so the results and the simulated
         time do not depend on how stages are grouped into jobs. The job's
-        labels and wall time are appended to ``jobs``."""
+        labels, wall time and fold time are appended to ``jobs``."""
         di = self.di
         plan, sc = di.plan, di.rdd.context
         b_dim, n_nodes = plan.b_dim, plan.n_nodes
@@ -351,9 +364,7 @@ class HarmonyEngine:
             s = t - tab.t0[ta:tb]
             b = tab.order[np.arange(ta, tb), s]
             node = tab.v[ta:tb] * b_dim + b
-            ca, cb = tab.first[ta], tab.first[tb]
-            npairs = np.add.reduceat(tab.alive[ca:cb], tab.first[ta:tb] - ca,
-                                     dtype=np.int64)
+            npairs = tab.live[ta:tb]
             skipped += np.bincount(s, np.diff(tab.first[ta:tb + 1]) - npairs,
                                    b_dim)
             live = npairs > 0
@@ -369,9 +380,11 @@ class HarmonyEngine:
                                    (npairs * width[b], down, up, 2.0 * live))
             metrics.record_stage(tab.labels[t], ops, down, up, msgs)
             seg = tab.seg0[ta:tb + 1]
-            table = np.stack([node, tab.q[ta:tb], np.diff(seg)], axis=1)
+            table = np.stack([node, tab.q[ta:tb], np.diff(seg), npairs],
+                             axis=1)
             payload.append((table.astype(np.int32), tab.segs[seg[0]:seg[-1]],
-                            np.packbits(tab.alive[ca:cb])))
+                            np.packbits(tab.alive[tab.first[ta]:
+                                                  tab.first[tb]])))
             meters.append((t, ta, tb, s, node))
         if not payload:
             return
@@ -386,54 +399,71 @@ class HarmonyEngine:
         finally:
             bc.unpersist()
             sc.setJobDescription(prev_desc)
-        jobs.append((labels, time.perf_counter() - tic))
+        wall_s = time.perf_counter() - tic
         by_stage: list[dict] = [{} for _ in meters]
         for i, n, keep, d in results:
             by_stage[i][n] = (keep, d)
+        tic = time.perf_counter()
         for (_, ta, tb, s, node), res in zip(meters, by_stage):
             self._fold(tab, ta, tb, s, node, res, topk)
             # Completed waves feed the heap → tighter τ² for the waves
             # still in flight (the pipeline's pruning win).
             self._finish(tab, ta, ta + np.count_nonzero(s == b_dim - 1), topk)
+        jobs.append((labels, wall_s, time.perf_counter() - tic))
 
     def _fold(self, tab, ta, tb, s, node, res, topk) -> None:
-        """Add a stage's partial sums into ``S²`` and prune its tasks with
-        ``prune_mask`` against their τ²·(1 + margin), read before any heap
-        update of the stage. After a worker-local top-k (``B_dim = 1``)
-        only the kept candidates stay alive, with their distances."""
-        if self.di.plan.b_dim == 1:
-            tab.alive[tab.first[ta]:tab.first[tb]] = False
+        """Fold a stage's results into tasks ``[ta, tb)``.
+
+        Each task with live candidates adds its slice of its node's dense
+        partial sums into ``S²`` (a dead candidate gains 0 and is never read
+        again). Unless it is at its last position, it is then pruned with
+        ``prune_mask`` against its query's τ²·(1 + margin), read before any
+        heap update of the stage, and its live count is updated. After a
+        worker-local top-k (``B_dim = 1``) only the kept candidates stay
+        alive, with their distances."""
+        b_dim = self.di.plan.b_dim
+        if b_dim == 1:
+            ca = tab.first[ta]
+            tab.alive[ca:tab.first[tb]] = False
             for keep, d in res.values():
-                tab.alive[tab.first[ta] + keep] = True
-                tab.s2[tab.first[ta] + keep] = d
+                tab.alive[ca + keep] = True
+                tab.s2[ca + keep] = d
             return
-        thr = np.full(tb - ta, np.inf)
-        if self.use_pruning:
-            pos = np.flatnonzero(s < self.di.plan.b_dim - 1)
-            thr[pos] = topk.dists[tab.q[ta + pos], -1] * (1.0 + _PRUNE_MARGIN)
+        tau2 = topk.dists[tab.q[ta:tb], -1] * (1.0 + _PRUNE_MARGIN)
+        prune = self.use_pruning & (s < b_dim - 1)
+        first = tab.first[ta:tb + 1].tolist()
         taken = dict.fromkeys(res, 0)
-        for i, j in _chunks(tab.first, ta, tb):
-            alive = tab.alive[tab.first[i]:tab.first[j]]
-            s2 = tab.s2[tab.first[i]:tab.first[j]]
-            ncand = np.diff(tab.first[i:j + 1])
-            cell = np.repeat(node[i - ta:j - ta], ncand)
-            for n, (_, d) in res.items():
-                m = alive & (cell == n)
-                cnt = np.count_nonzero(m)
-                s2[m] += d[taken[n]:taken[n] + cnt]
-                taken[n] += cnt
-            alive &= prune_mask(s2, np.repeat(thr[i - ta:j - ta], ncand))
+        for t, a, b, n, thr, cut, live in zip(
+                range(ta, tb), first, first[1:], node.tolist(), tau2.tolist(),
+                prune.tolist(), tab.live[ta:tb].tolist()):
+            if not live:
+                continue
+            part = res[n][1]
+            o = taken[n]
+            taken[n] = o + b - a
+            s2 = tab.s2[a:b]
+            s2 += part[o:o + b - a]
+            if cut:
+                alive = tab.alive[a:b]
+                alive &= prune_mask(s2, thr)
+                tab.live[t] = np.count_nonzero(alive)
 
     def _finish(self, tab, ta, tb, topk) -> None:
-        """One ``TopK.update`` per finishing task in ``[ta, tb)``, with its
-        live candidates' ids and full distances ``S²``."""
+        """One ``TopK.update`` per finishing task in ``[ta, tb)`` that has a
+        live candidate within its query's τ², with those candidates' ids and
+        full distances ``S²``. This is the cut ``update`` makes first; τ² is
+        read once per chunk, and it only tightens, so ``update`` gets every
+        candidate it would keep."""
         _, base, vector_ids = self.di.shard_rows()
         seg_first = np.cumsum(tab.segs[:, 1]) - tab.segs[:, 1]
         for i, j in _chunks(tab.first, ta, tb):
-            idx = np.flatnonzero(tab.alive[tab.first[i]:tab.first[j]])
-            idx += tab.first[i]
+            ca, cb = tab.first[i], tab.first[j]
+            tau2 = np.repeat(topk.dists[tab.q[i:j], -1],
+                             np.diff(tab.first[i:j + 1]))
+            idx = np.flatnonzero(tab.alive[ca:cb] & (tab.s2[ca:cb] <= tau2))
             if not len(idx):
                 continue
+            idx += ca
             seg = np.searchsorted(seg_first, idx, "right") - 1
             task = np.searchsorted(tab.first, idx, "right") - 1
             row = tab.segs[seg, 0] + (idx - seg_first[seg])

@@ -91,18 +91,23 @@ def assign_clusters(centroids: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_count(name: str, n) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``n`` is a positive
+    Python or numpy integer (not a bool)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n <= 0:
+        raise ValueError(f"{name} must be positive, got {n}")
+
+
 def check_search_args(
     queries: np.ndarray, dim: int, k: int, nprobe: int
 ) -> np.ndarray:
     """``queries`` as a C-contiguous float32 ``(Q, dim)`` array, after
-    checking every search argument (``k`` and ``nprobe`` must be positive
-    Python or numpy integers, not bools); a bad one raises ``ValueError``
-    naming it."""
-    for name, n in (("k", k), ("nprobe", nprobe)):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {n!r}")
-        if n <= 0:
-            raise ValueError(f"{name} must be positive, got {n}")
+    checking every search argument (``k`` and ``nprobe`` with
+    :func:`check_count`); a bad one raises ``ValueError`` naming it."""
+    check_count("k", k)
+    check_count("nprobe", nprobe)
     queries = np.ascontiguousarray(queries, dtype=np.float32)
     if queries.ndim != 2:
         raise ValueError(

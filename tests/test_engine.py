@@ -1,4 +1,5 @@
 """Pipelined engine (Algorithm 1): exactness, pruning, metering."""
+import hashlib
 import json
 import pickle
 import uuid
@@ -18,6 +19,7 @@ from repro.vectors.generate import base_spark
 from tests.conftest import (
     BAD_SEARCH_CASES,
     TEST_K,
+    TEST_NLIST,
     TEST_NPROBE,
     assert_same_distances,
     bad_search_kwargs,
@@ -267,6 +269,39 @@ def test_unknown_schedule_rejected(built):
         built["vector"].with_engine(schedule="chaotic")
 
 
+@pytest.mark.parametrize("n_waves", [0, -3, True, 2.5])
+def test_bad_wave_count_rejected(built, n_waves):
+    with pytest.raises(ValueError, match="n_waves"):
+        built["dimension"].with_engine(n_waves=n_waves)
+
+
+def test_numpy_wave_count_accepted(built):
+    s = built["dimension"].with_engine(n_waves=np.int64(2))
+    assert s.engine.n_waves == 2
+
+
+def test_exact_under_total_pruning(built, hybrid, ds):
+    # Each query is a base vector at the head of its nearest cluster, so
+    # the prewarm scores it and, with k = 1, sets τ² = 0: every candidate
+    # with a nonzero partial sum dies at position 0. Later stages then hold
+    # tasks with no live candidate and nodes with nothing to return.
+    di = built["dimension"].di
+    c, head = np.array([(c, ids[0]) for c, ids in enumerate(di.cluster_ids)
+                        if len(di.prewarm_rows.get(c, ()))]).T
+    q = ds["x"][head]
+    q = q[probe_clusters(di.centroids, q, 1)[:, 0] == c]
+    assert len(q) >= TEST_NLIST // 2
+    ref = search_ivf_flat(ds["ivf"], q, k=1, nprobe=TEST_NPROBE)
+    for grid in (di, hybrid):
+        for schedule in ("static", "rotate", "load_aware"):
+            for n_waves in (1, 4):
+                eng = HarmonyEngine(grid, schedule=schedule, n_waves=n_waves)
+                res = eng.search(q, k=1, nprobe=TEST_NPROBE)
+                np.testing.assert_array_equal(res.ids, ref.ids)
+                np.testing.assert_array_equal(res.dists, ref.dists)
+                assert np.all(res.report.skipped_at_position[1:] > 0)
+
+
 def _search_counting_jobs(searcher, q):
     """``(result, Spark jobs run)`` of one search in a fresh job group."""
     sc = searcher.di.rdd.context
@@ -310,7 +345,7 @@ def test_hybrid_grid_exact_one_job_per_stage(hybrid, baseline_ref, ds,
     assert_same_distances(res.dists, baseline_ref.dists)
     n_stages = hybrid.plan.b_dim + n_waves - 1
     assert jobs == hybrid.plan.b_vec * n_stages
-    assert [job for job, _ in res.report.jobs] == [
+    assert [job for job, _, _ in res.report.jobs] == [
         [f"r{r}t{t}"] for r in range(hybrid.plan.b_vec)
         for t in range(n_stages)]
 
@@ -340,16 +375,16 @@ def test_report_times_each_spark_job(built, ds, mode):
     rep = res.report
     labels = [st.label for st in rep.metrics.stages]
     if mode == "vector":
-        assert [job for job, _ in rep.jobs] == [
+        assert [job for job, _, _ in rep.jobs] == [
             [f"r{r}t0" for r in range(s.di.plan.b_vec)]]
     else:
         assert len(rep.jobs) == s.di.plan.b_dim + s.engine.n_waves - 1
-        assert [job for job, _ in rep.jobs] == [[lb] for lb in labels]
+        assert [job for job, _, _ in rep.jobs] == [[lb] for lb in labels]
     assert len(rep.jobs) == n_jobs
-    assert all(wall_s > 0 for _, wall_s in rep.jobs)
+    assert all(wall_s > 0 and fold_s > 0 for _, wall_s, fold_s in rep.jobs)
     d = json.loads(json.dumps(rep.to_dict()))
-    assert d["jobs"] == [{"labels": job, "wall_s": wall_s}
-                         for job, wall_s in rep.jobs]
+    assert d["jobs"] == [{"labels": job, "wall_s": wall_s, "fold_s": fold_s}
+                         for job, wall_s, fold_s in rep.jobs]
 
 
 def test_report_to_dict_round_trips_json(built, ds):
@@ -397,3 +432,36 @@ def test_dimension_payload_is_compact(spark, ds, monkeypatch):
         s.di.unpersist()
     assert len(sizes) == s.di.plan.b_dim + s.engine.n_waves - 1
     assert sum(sizes) < 4 * res.report.pairs_total
+
+
+#: SHA-256 over the ids, distances and ``to_dict()`` (without ``jobs``) of
+#: the searches of each grid, under every schedule, 1 and 4 waves and
+#: pruning on and off. Driver-side speed-ups must leave these unchanged.
+SEARCH_DIGESTS = {
+    "harmony":
+        "bc8d2a70c65b9da80836ea0da088b7ce7496c9d29c51c38bfc2a46790bd50772",
+    "vector":
+        "97bb5da3ee0d042ea3c3b05184692c3377ff0dcb73c4cf7ebcb0bcf42f9b2f34",
+    "dimension":
+        "2dcbe40393da61bef4e127c1590c99cfa644d5e2b5d17fc6ed0c9ce4562c173e",
+    "2x2":
+        "96d4fe03cedbcd86503f49ac3c6ece4fcb74009e6195be5b95f0ca583600e97e",
+}
+
+
+@pytest.mark.parametrize("grid", sorted(SEARCH_DIGESTS))
+def test_search_outputs_are_pinned(built, hybrid, ds, grid):
+    di = hybrid if grid == "2x2" else built[grid].di
+    h = hashlib.sha256()
+    for schedule in ("static", "rotate", "load_aware"):
+        for n_waves in (1, 4):
+            for use_pruning in (True, False):
+                res = HarmonyEngine(di, schedule, use_pruning,
+                                    n_waves).search(ds["q"], k=TEST_K,
+                                                    nprobe=TEST_NPROBE)
+                d = res.report.to_dict()
+                del d["jobs"]
+                h.update(res.ids.tobytes())
+                h.update(res.dists.tobytes())
+                h.update(json.dumps(d, sort_keys=True).encode())
+    assert h.hexdigest() == SEARCH_DIGESTS[grid]
