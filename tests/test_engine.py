@@ -465,3 +465,35 @@ def test_search_outputs_are_pinned(built, hybrid, ds, grid):
                 h.update(res.dists.tobytes())
                 h.update(json.dumps(d, sort_keys=True).encode())
     assert h.hexdigest() == SEARCH_DIGESTS[grid]
+
+
+#: SHA-256 over each built grid's cell matrices in node order, prewarm rows
+#: by cluster, ``cluster_ids`` and ``node_memory_bytes()``. Layout and
+#: memory-accounting edits must leave these unchanged.
+BUILD_DIGESTS = {
+    "harmony":
+        "470eaa38e3fcdec6db8f01444af589553783752a953cbc185f9045e497da347f",
+    "vector":
+        "0b5009b9fc8bd68ba2de9a40ee7e5be81093a94ac52c427e7ea4e8f7f0ac9070",
+    "dimension":
+        "79c8dfc40249bada4890911673fb73c05b1ab0d795a63080a2a3468e1b6d8fb4",
+    "2x2":
+        "d377bad98595ce017de612275b6896287682f716a5008e72fa120e34d382f019",
+}
+
+
+@pytest.mark.parametrize("grid", sorted(BUILD_DIGESTS))
+def test_build_outputs_are_pinned(built, hybrid, grid):
+    di = hybrid if grid == "2x2" else built[grid].di
+    h = hashlib.sha256()
+    for mat in di.rdd.collect():
+        h.update(repr((mat.shape, mat.dtype.str)).encode())
+        h.update(mat.tobytes())
+    for c in sorted(di.prewarm_rows):
+        h.update(repr((c, di.prewarm_rows[c].shape)).encode())
+        h.update(di.prewarm_rows[c].tobytes())
+    for ids in di.cluster_ids:
+        h.update(repr(len(ids)).encode())
+        h.update(ids.tobytes())
+    h.update(di.node_memory_bytes().tobytes())
+    assert h.hexdigest() == BUILD_DIGESTS[grid]
