@@ -63,25 +63,27 @@ class DistributedIndex:
         """:func:`shard_rows` of this index."""
         return shard_rows(self.plan, self.cluster_ids)
 
-    def _shard_size(self) -> np.ndarray:
-        """Vectors per shard, as floats."""
+    def _node_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per node: its cell's rows (its shard's size, as floats) and
+        columns (its block's width)."""
         _, base, ids = self.shard_rows()
-        return np.diff(base, append=len(ids)).astype(float)
+        v, b = self.plan.node_cell(np.arange(self.plan.n_nodes))
+        shard = np.diff(base, append=len(ids)).astype(float)
+        return shard[v], self.plan.widths[b]
 
     @property
     def node_index_bytes(self) -> np.ndarray:
         """Vector data per node: its shard's rows × its block's width ×
         4 bytes (float32)."""
-        width = np.diff(np.asarray(self.plan.dim_bounds), axis=1)[:, 0]
-        return np.outer(self._shard_size(), width * 4).ravel()
+        rows, width = self._node_cells()
+        return rows * (width * 4)
 
     def node_accumulator_bytes(self) -> np.ndarray:
         """Pre-allocated partial-result buffer per node (0 when
         ``B_dim = 1`` — vector partitioning needs no accumulators)."""
         if self.plan.b_dim == 1:
             return np.zeros(self.plan.n_nodes)
-        return ACCUM_BYTES_PER_VECTOR * np.repeat(self._shard_size(),
-                                                  self.plan.b_dim)
+        return ACCUM_BYTES_PER_VECTOR * self._node_cells()[0]
 
     def node_memory_bytes(self) -> np.ndarray:
         """Per-node resident index memory: cell data + accumulators.
@@ -203,7 +205,7 @@ def distribute(
     @spark_task
     def build_cells(parts):
         v, b = plan.node_cell(TaskContext.get().partitionId())
-        mat = np.empty((shard_size[v], plan.block_dims(b)), dtype=np.float32)
+        mat = np.empty((shard_size[v], plan.widths[b]), dtype=np.float32)
         for _, (rows, block) in parts:
             rows = np.frombuffer(rows, dtype=np.int64)
             mat[rows] = np.frombuffer(block, np.float32).reshape(len(rows), -1)

@@ -148,14 +148,14 @@ def plan_cost(
     comp = 0.0
     comm = 0.0
     keep = expected_keep_fraction(plan.b_dim, params.pruning_prior)
-    block_widths = [plan.block_dims(b) for b in range(plan.b_dim)]
+    widths = plan.widths.tolist()  # Python ints: bit-identical float sums
     for c in range(nlist):
         visits = profile.probe_counts[c]
         if visits == 0:
             continue
         size_c = profile.cluster_sizes[c]
         v = plan.cluster_to_vblock[c]
-        for b, w in enumerate(block_widths):
+        for b, w in enumerate(widths):
             ops = visits * size_c * w * keep
             node_loads[plan.cell_node(v, b)] += m.comp_time(ops)
             comp += m.comp_time(ops)

@@ -158,14 +158,15 @@ def _chunks(first: np.ndarray, ta: int, tb: int):
     return zip(edges[:-1], edges[1:])
 
 
-def _scan_worker(payload_bc):
+def _scan_worker(payload_bc, plan):
     """Worker closure for one Spark job of pipeline stages.
 
-    ``payload_bc`` broadcasts ``(stages, queries, bounds, b_dim,
-    finalize_k)``; a stage is ``(tasks, segs, bits)``: per task (cell
-    node, query, segment count, live count), the segments and
-    ``np.packbits`` of the ``alive`` flags. Partition ``n`` holds node
-    ``n``'s cell matrix; a worker takes its tasks with live candidates and
+    ``payload_bc`` broadcasts ``(stages, queries, finalize_k)``; a stage
+    is ``(tasks, segs, bits)``: per task (cell node, query, segment count,
+    live count), the segments and ``np.packbits`` of the ``alive`` flags.
+    Partition ``n`` holds node ``n``'s cell matrix; the worker reads its
+    dimension block from ``plan`` (captured in the closure, so the
+    numbering is the driver's), takes its tasks with live candidates and
     computes :func:`~repro.ivf.kmeans.sq_l2` of those candidates over its
     block, in chunks. It returns ``(stage, node, keep, d)``, none for a
     stage where it has no such task:
@@ -182,10 +183,10 @@ def _scan_worker(payload_bc):
     @spark_task
     def scan(cells):
         out = []
-        stages, queries, bounds, b_dim, finalize_k = payload_bc.value
+        stages, queries, finalize_k = payload_bc.value
         node = TaskContext.get().partitionId()
         for mat in cells:
-            lo, hi = bounds[node % b_dim]
+            lo, hi = plan.dim_bounds[plan.node_cell(node)[1]]
             qblock = np.ascontiguousarray(queries[:, lo:hi])
             for i, (tasks, segs, bits) in enumerate(stages):
                 seg_task = np.repeat(np.arange(len(tasks)), tasks[:, 2])
@@ -288,7 +289,8 @@ class HarmonyEngine:
             # when its wave *starts*, so the load-aware policy sees live
             # node loads (the paper's dynamic reordering, Fig. 5b).
             i, j = np.searchsorted(tab.t0, [t, t + 1])
-            loads = metrics.node_ops().reshape(plan.b_vec, b_dim)[tab.v[i:j]]
+            loads = metrics.node_ops()[plan.cell_node(tab.v[i:j, None],
+                                                      np.arange(b_dim))]
             tab.order[i:j] = dim_order(self.schedule, tab.q[i:j], b_dim,
                                        loads)
             # One stage per job: τ² must tighten between stages.
@@ -357,13 +359,13 @@ class HarmonyEngine:
         di = self.di
         plan, sc = di.plan, di.rdd.context
         b_dim, n_nodes = plan.b_dim, plan.n_nodes
-        width = np.diff(np.asarray(plan.dim_bounds), axis=1)[:, 0]
+        width = plan.widths
         payload, meters = [], []
         for t in stages:
             ta, tb = np.searchsorted(tab.t0, [t - b_dim + 1, t + 1])
             s = t - tab.t0[ta:tb]
             b = tab.order[np.arange(ta, tb), s]
-            node = tab.v[ta:tb] * b_dim + b
+            node = plan.cell_node(tab.v[ta:tb], b)
             npairs = tab.live[ta:tb]
             skipped += np.bincount(s, np.diff(tab.first[ta:tb + 1]) - npairs,
                                    b_dim)
@@ -392,10 +394,9 @@ class HarmonyEngine:
         prev_desc = sc.getLocalProperty("spark.job.description")
         sc.setJobDescription(" ".join(labels))
         tic = time.perf_counter()
-        bc = sc.broadcast((payload, queries, plan.dim_bounds, b_dim,
-                           k if b_dim == 1 else None))
+        bc = sc.broadcast((payload, queries, k if b_dim == 1 else None))
         try:
-            results = di.rdd.mapPartitions(_scan_worker(bc)).collect()
+            results = di.rdd.mapPartitions(_scan_worker(bc, plan)).collect()
         finally:
             bc.unpersist()
             sc.setJobDescription(prev_desc)

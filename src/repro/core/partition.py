@@ -6,6 +6,9 @@ packing) and the dimension axis is split into ``B_dim`` contiguous blocks.
 Grid cell ``(v, b)`` — shard ``v``'s vectors restricted to dimension block
 ``b`` — lives on exactly one node, so ``B_vec · B_dim = n_nodes`` and
 every base vector is stored once (§4.3 space complexity, no replication).
+The plan alone fixes which node hosts each cell and how wide each block
+is; the layout, the engine, its workers and the cost model read both
+from it.
 """
 from __future__ import annotations
 
@@ -30,6 +33,9 @@ class PartitionPlan:
     cluster_to_vblock: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.b_vec < 1 or self.b_dim < 1:
+            raise ValueError(
+                f"grid {self.b_vec}x{self.b_dim} needs b_vec, b_dim >= 1")
         if self.b_vec * self.b_dim != self.n_nodes:
             raise ValueError(
                 f"grid {self.b_vec}x{self.b_dim} != n_nodes={self.n_nodes}"
@@ -37,33 +43,20 @@ class PartitionPlan:
         if len(self.dim_bounds) != self.b_dim:
             raise ValueError("dim_bounds length must equal b_dim")
 
-    @property
-    def mode(self) -> str:
-        """'vector' (B_dim=1), 'dimension' (B_vec=1) or 'hybrid'."""
-        if self.b_dim == 1:
-            return "vector"
-        if self.b_vec == 1:
-            return "dimension"
-        return "hybrid"
-
-    @property
-    def dim(self) -> int:
-        """Total dimensionality covered by the dimension blocks."""
-        return self.dim_bounds[-1][1]
-
-    def cell_node(self, v: int, b: int) -> int:
+    def cell_node(self, v, b):
         """Node id hosting grid cell ``(v, b)`` — the custom-partitioner
-        mapping used by the Spark layout."""
+        key of the Spark layout. The one numbering every layer reads;
+        elementwise on arrays."""
         return v * self.b_dim + b
 
-    def node_cell(self, n: int) -> tuple[int, int]:
-        """Inverse of :meth:`cell_node`."""
+    def node_cell(self, n):
+        """Inverse of :meth:`cell_node`: ``(v, b)`` of node ``n``."""
         return divmod(n, self.b_dim)
 
-    def block_dims(self, b: int) -> int:
-        """Width (number of columns) of dimension block ``b``."""
-        lo, hi = self.dim_bounds[b]
-        return hi - lo
+    @property
+    def widths(self) -> np.ndarray:
+        """Width (number of columns) of each dimension block."""
+        return np.diff(np.asarray(self.dim_bounds), axis=1)[:, 0]
 
     def clusters_of_vblock(self, v: int) -> np.ndarray:
         """Cluster ids packed into vector shard ``v``."""

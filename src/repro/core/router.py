@@ -40,7 +40,7 @@ def assign_query_groups(
     """Split queries into ``b_vec`` round-robin groups for the vector-level
     pipeline (Fig. 5a): in round ``r`` group ``g`` visits shard
     ``(g + r) mod b_vec``, so shards are never contended."""
-    return np.arange(n_queries) % max(1, b_vec)
+    return np.arange(n_queries) % b_vec
 
 
 def dim_order(

@@ -30,6 +30,7 @@ from repro.core.cost_model import (
 )
 from repro.core.engine import HarmonyEngine, SearchResult
 from repro.core.partition import make_plan
+from repro.ivf.index import check_count
 
 #: Valid ``-Mode`` values (paper §5).
 MODES = ("harmony", "vector", "dimension")
@@ -56,6 +57,9 @@ class HarmonyConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode {self.mode!r} not in {MODES}")
+        for name in ("n_nodes", "nlist", "nprobe_hint", "k_hint"):
+            check_count(name, getattr(self, name))
+        check_count("prewarm_per_cluster", self.prewarm_per_cluster, least=0)
 
 
 def _plan(config, centroids, sizes, profile_queries):

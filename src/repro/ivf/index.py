@@ -91,13 +91,13 @@ def assign_clusters(centroids: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_count(name: str, n) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``n`` is a positive
-    Python or numpy integer (not a bool)."""
+def check_count(name: str, n, least: int = 1) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``n`` is a Python or
+    numpy integer (not a bool) of at least ``least``."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {n!r}")
-    if n <= 0:
-        raise ValueError(f"{name} must be positive, got {n}")
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n}")
 
 
 def check_search_args(

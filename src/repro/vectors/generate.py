@@ -66,8 +66,6 @@ def block_rows(
     x = centers[cids] + noise * radius * (
         spec.cluster_std * dim_scales(spec)
     )
-    if spec.normalized:
-        x /= np.linalg.norm(x, axis=1, keepdims=True) + 1e-12
     return cids, x
 
 

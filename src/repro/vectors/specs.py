@@ -37,8 +37,6 @@ class DatasetSpec:
       that the IVF index will discover).
     * ``cluster_std`` — within-cluster noise scale relative to the
       between-center spread; smaller = tighter clusters = easier pruning.
-    * ``normalized`` — L2-normalize vectors (embedding-style data, cosine
-      via L2 on the unit sphere).
     * ``data_type`` — Table 2 "Data Type" label, for reporting.
     """
 
@@ -50,7 +48,6 @@ class DatasetSpec:
     decay: float
     n_centers: int = 48
     cluster_std: float = 0.35
-    normalized: bool = False
     #: Log-normal sigma of the per-point radial factor. Widens the
     #: candidate-distance distribution (real embeddings are not thin
     #: Gaussian shells), which governs how gradually the per-slice

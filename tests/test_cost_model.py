@@ -134,7 +134,7 @@ def test_choose_plan_uniform_prefers_low_comm():
     # Uniform workload, pruning off: communication decides → vector.
     plan, cost = choose_plan(4, _uniform_profile(),
                              CostParams(pruning_prior=0.0))
-    assert plan.mode == "vector"
+    assert (plan.b_vec, plan.b_dim) == (4, 1)
 
 
 def test_choose_plan_extreme_alpha_prefers_balance():

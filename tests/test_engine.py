@@ -11,7 +11,7 @@ from repro.baseline.faiss_lite import search_ivf_flat
 from repro.cluster.layout import distribute
 from repro.cluster.machine import MachineModel
 from repro.core.engine import HarmonyEngine
-from repro.core.partition import make_plan
+from repro.core.partition import PartitionPlan, make_plan
 from repro.core.router import dim_order
 from repro.core.searcher import HarmonyConfig, HarmonySearcher
 from repro.ivf.index import build_ivf, probe_clusters
@@ -348,6 +348,37 @@ def test_hybrid_grid_exact_one_job_per_stage(hybrid, baseline_ref, ds,
     assert [job for job, _, _ in res.report.jobs] == [
         [f"r{r}t{t}"] for r in range(hybrid.plan.b_vec)
         for t in range(n_stages)]
+
+
+def test_grid_numbering_is_read_from_the_plan(ds, baseline_ref):
+    # The plan alone maps cells to nodes: a 2x2 plan that numbers its
+    # cells block-major must be laid out, accounted and searched exactly.
+    # Defined here, the subclass is pickled by value, so workers share it.
+    class BlockMajor(PartitionPlan):
+        def cell_node(self, v, b):
+            return b * self.b_vec + v
+
+        def node_cell(self, n):
+            b, v = divmod(n, self.b_vec)
+            return v, b
+
+    ivf = ds["ivf"]
+    plan = BlockMajor(**vars(make_plan(4, 2, 2, ivf.dim,
+                                       ivf.cluster_sizes())))
+    assert plan.cell_node(1, 0) == 1  # row-major would say node 2
+    di = distribute(ds["df"], plan, ivf.centroids, ivf.cluster_ids, 8)
+    try:
+        held = [[mat.nbytes for mat in part]
+                for part in di.rdd.glom().collect()]
+        assert held == [[b] for b in di.node_index_bytes]
+        for schedule in ("static", "rotate", "load_aware"):
+            for n_waves in (1, 4):
+                res = HarmonyEngine(di, schedule, n_waves=n_waves).search(
+                    ds["q"], k=TEST_K, nprobe=TEST_NPROBE)
+                np.testing.assert_array_equal(res.ids, baseline_ref.ids)
+                assert_same_distances(res.dists, baseline_ref.dists)
+    finally:
+        di.unpersist()
 
 
 @pytest.mark.parametrize("mode", ["vector", "dimension"])

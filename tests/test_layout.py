@@ -62,19 +62,19 @@ def test_index_bytes_are_cell_bytes(built, hybrid, mode):
 
 
 def test_empty_shard_holds_empty_cells(ds, baseline_ref):
-    # Shard 1 of this 2x2 grid holds no cluster: its nodes still hold one
-    # (0, width) matrix each, and searches pass over them.
+    # Shard 1 of this 2x2 grid holds no cluster: the nodes of its cells
+    # still hold one (0, width) matrix each, and searches pass over them.
     ivf = ds["ivf"]
     plan = replace(make_plan(4, 2, 2, ivf.dim, ivf.cluster_sizes()),
                    cluster_to_vblock=(0,) * ivf.nlist)
     di = distribute(ds["df"], plan, ivf.centroids, ivf.cluster_ids, 8)
     try:
-        shapes = [(n, mat.shape) for n, mat in _cells(di)]
+        shapes = {n: mat.shape for n, mat in _cells(di)}
         res = HarmonyEngine(di).search(ds["q"], k=TEST_K, nprobe=TEST_NPROBE)
     finally:
         di.unpersist()
-    assert shapes[2:] == [(2, (0, plan.block_dims(0))),
-                          (3, (0, plan.block_dims(1)))]
+    for b in range(plan.b_dim):
+        assert shapes[plan.cell_node(1, b)] == (0, plan.widths[b])
     assert_same_distances(res.dists, baseline_ref.dists)
 
 

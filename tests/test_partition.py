@@ -77,20 +77,20 @@ def _plan(n=4, bv=2, bd=2, dim=16, nlist=8):
 
 def test_make_plan_valid():
     p = _plan()
-    assert p.mode == "hybrid"
-    assert p.dim == 16
+    assert (p.b_vec, p.b_dim) == (2, 2)
+    assert p.dim_bounds[-1][1] == 16
     assert len(p.cluster_to_vblock) == 8
-
-
-def test_plan_modes():
-    assert _plan(4, 4, 1).mode == "vector"
-    assert _plan(4, 1, 4).mode == "dimension"
-    assert _plan(4, 2, 2).mode == "hybrid"
 
 
 def test_plan_grid_mismatch_raises():
     with pytest.raises(ValueError, match="grid"):
         PartitionPlan(4, 3, 2, split_dims(8, 2), (0,))
+
+
+@pytest.mark.parametrize("b_vec,b_dim", [(0, 1), (1, 0), (-1, -1)])
+def test_plan_rejects_empty_grid_axis(b_vec, b_dim):
+    with pytest.raises(ValueError, match="b_vec, b_dim >= 1"):
+        PartitionPlan(b_vec * b_dim, b_vec, b_dim, ((0, 8),) * b_dim, (0,))
 
 
 def test_plan_dim_bounds_mismatch_raises():
@@ -110,9 +110,10 @@ def test_cell_node_bijection():
     assert seen == set(range(6))
 
 
-def test_block_dims_sum_to_dim():
+def test_widths_sum_to_dim():
     p = _plan(4, 1, 4, dim=10)
-    assert sum(p.block_dims(b) for b in range(4)) == 10
+    assert p.widths.tolist() == [hi - lo for lo, hi in p.dim_bounds]
+    assert p.widths.sum() == 10
 
 
 def test_clusters_of_vblock_partition():

@@ -15,6 +15,22 @@ def test_invalid_mode_rejected():
         HarmonyConfig(mode="hybrid-ish")
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("field,value", [
+    ("n_nodes", 0), ("n_nodes", -2), ("n_nodes", True), ("n_nodes", 2.0),
+    ("nlist", 0), ("nprobe_hint", 0), ("k_hint", -1),
+    ("prewarm_per_cluster", -3), ("prewarm_per_cluster", 1.5),
+])
+def test_bad_config_rejected_naming_field(mode, field, value):
+    # Rejected when the config is made, not deep inside the build.
+    with pytest.raises(ValueError, match=field):
+        HarmonyConfig(mode=mode, **{field: value})
+
+
+def test_zero_prewarm_accepted():
+    assert HarmonyConfig(prewarm_per_cluster=0).prewarm_per_cluster == 0
+
+
 def test_modes_constant():
     assert MODES == ("harmony", "vector", "dimension")
 
@@ -22,13 +38,11 @@ def test_modes_constant():
 def test_vector_mode_grid(built):
     plan = built["vector"].di.plan
     assert (plan.b_vec, plan.b_dim) == (4, 1)
-    assert plan.mode == "vector"
 
 
 def test_dimension_mode_grid(built):
     plan = built["dimension"].di.plan
     assert (plan.b_vec, plan.b_dim) == (1, 4)
-    assert plan.mode == "dimension"
 
 
 def test_harmony_mode_chose_cost_optimal_grid(built):
