@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from pyspark import StorageLevel, TaskContext
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.partition import PartitionPlan
@@ -116,28 +116,27 @@ def shard_rows(
     return row - base[c2v], base, ids
 
 
-def train_centroids(df: DataFrame, nlist: int, seed: int = 0) -> np.ndarray:
+def train_centroids(df: DataFrame, nlist: int) -> np.ndarray:
     """Train IVF centroids from a Spark vector DataFrame ("Train" stage).
 
     Takes the id-prefix sample ``id < TRAIN_SAMPLE_CAP`` (the rule
     :func:`repro.ivf.index.build_ivf` also follows) to the driver through
-    Arrow and runs seeded k-means, exactly as Faiss trains on a sample.
+    Arrow and runs k-means with ``build_ivf``'s default seed 0, exactly as
+    Faiss trains on a sample.
     """
     sample = df.where(F.col("id") < ivf_index.TRAIN_SAMPLE_CAP).select("vec")
     x = np.stack(sample.toPandas()["vec"].to_numpy())
-    return kmeans(x.astype(np.float32, copy=False), nlist, seed=seed)
+    return kmeans(x.astype(np.float32, copy=False), nlist, seed=0)
 
 
-def assign_vectors(
-    spark: SparkSession, df: DataFrame, centroids: np.ndarray
-) -> list[np.ndarray]:
+def assign_vectors(df: DataFrame, centroids: np.ndarray) -> list[np.ndarray]:
     """Nearest-centroid assignment ("Add" stage): the client routing
     table, per-cluster vector ids ascending, from one collection of the
     ``(id, cluster)`` pairs a ``mapInPandas`` over broadcast centroids
     yields."""
     import pandas as pd
 
-    bc = spark.sparkContext.broadcast(centroids)
+    bc = df.sparkSession.sparkContext.broadcast(centroids)
 
     @spark_task
     def assign(batches):

@@ -17,9 +17,14 @@ class TopK:
 
     ``ids`` and ``dists`` are ``(Q, k)`` arrays: row ``q`` holds the ``k``
     smallest distances seen so far for query ``q`` with their vector ids,
-    distance-ascending and padded with ``(-1, inf)``; duplicates by id are
-    collapsed. ``dists[:, -1]`` is each query's pruning threshold ``τ²``,
-    +inf until its row is full.
+    in ``(distance, id)`` order and padded with ``(-1, inf)``.
+    ``dists[:, -1]`` is each query's pruning threshold ``τ²``, +inf until
+    its row is full.
+
+    ``update`` does not look for repeated ids: a search hands each vector
+    id to a query's heap at most once, since probe 0's scan starts after
+    the prewarmed prefix, the clusters partition the ids, and each
+    (round, wave, query) task finishes exactly once.
     """
 
     def __init__(self, n_queries: int, k: int):
@@ -28,35 +33,25 @@ class TopK:
         self.dists = np.full((n_queries, k), np.inf)
 
     def update(self, q: int, ids: np.ndarray, dists: np.ndarray) -> None:
-        """Merge candidates ``(ids, dists)`` into query ``q``'s heap.
+        """Merge candidates ``(ids, dists)``, none of them already in query
+        ``q``'s heap, into it.
 
-        When the heap is full, candidates farther than its k-th best
-        distance are dropped first. Ties are kept (``<=``): a tied
-        candidate with a smaller id still enters, so the result is exact.
+        Candidates farther than the k-th best distance ``τ²`` are dropped
+        first. Ties are kept (``<=``): a tied candidate with a smaller id
+        still enters, so the result is exact. The row then keeps the ``k``
+        best by ``(distance, id)``, so the kept ids do not depend on the
+        order candidates arrived in.
         """
         ids = np.asarray(ids, np.int64)
         dists = np.asarray(dists, np.float64)
-        tau2 = self.dists[q, -1]
-        if tau2 < np.inf:
-            near = dists <= tau2
-            ids, dists = ids[near], dists[near]
-        if len(ids) == 0:
+        near = dists <= self.dists[q, -1]
+        if not near.any():
             return
-        all_ids = np.concatenate([self.ids[q], ids])
-        all_d = np.concatenate([self.dists[q], dists])
-        # Collapse duplicate ids, keeping the smallest distance (the
-        # padding collapses to one (-1, inf) entry).
-        order = np.lexsort((all_d, all_ids))
-        all_ids, all_d = all_ids[order], all_d[order]
-        first = np.ones(len(all_ids), dtype=bool)
-        first[1:] = all_ids[1:] != all_ids[:-1]
-        all_ids, all_d = all_ids[first], all_d[first]
-        # Keep the k best by (distance, id): ties are cut by id, so the
-        # kept ids do not depend on the order candidates arrived in. Rows
-        # past the kept ones are padding already.
+        all_ids = np.concatenate([self.ids[q], ids[near]])
+        all_d = np.concatenate([self.dists[q], dists[near]])
         keep = np.lexsort((all_ids, all_d))[: self.k]
-        self.ids[q, : len(keep)] = all_ids[keep]
-        self.dists[q, : len(keep)] = all_d[keep]
+        self.ids[q] = all_ids[keep]
+        self.dists[q] = all_d[keep]
 
 
 def prune_mask(partial_sums: np.ndarray, tau2: float) -> np.ndarray:

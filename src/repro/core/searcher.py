@@ -66,16 +66,6 @@ def _plan(config, centroids, sizes, profile_queries):
     """``(plan, cost)``: the grid for ``config.mode`` ("Plan" stage);
     ``cost`` is the planner's breakdown, None for the fixed modes."""
     dim = centroids.shape[1]
-    if profile_queries is not None:
-        profile = QueryProfile.from_queries(
-            centroids, sizes, np.asarray(profile_queries, np.float32),
-            config.nprobe_hint, config.k_hint,
-        )
-    else:
-        profile = QueryProfile.uniform(
-            len(centroids), dim, sizes, n_queries=100,
-            nprobe=config.nprobe_hint, k=config.k_hint,
-        )
     # Fixed modes model the *traditional* distribution: clusters are
     # packed by size alone, blind to the query workload (paper §6.1's
     # Harmony-vector / Harmony-dimension baselines). Only adaptive
@@ -86,6 +76,16 @@ def _plan(config, centroids, sizes, profile_queries):
     if config.mode == "dimension":
         return make_plan(config.n_nodes, 1, config.n_nodes, dim, sizes,
                          config.balanced), None
+    if profile_queries is not None:
+        profile = QueryProfile.from_queries(
+            centroids, sizes, np.asarray(profile_queries, np.float32),
+            config.nprobe_hint, config.k_hint,
+        )
+    else:
+        profile = QueryProfile.uniform(
+            len(centroids), dim, sizes, n_queries=100,
+            nprobe=config.nprobe_hint, k=config.k_hint,
+        )
     return choose_plan(config.n_nodes, profile, balanced=config.balanced)
 
 
@@ -128,9 +128,13 @@ class HarmonySearcher:
                 t0 = time.perf_counter()
                 centroids = train_centroids(df, config.nlist)
                 train_s = time.perf_counter() - t0
+            dim = centroids.shape[1]
+            if config.mode == "dimension" and config.n_nodes > dim:
+                raise ValueError(f"n_nodes={config.n_nodes} exceeds dim={dim}"
+                                 ": each node needs a dimension block")
 
             t0 = time.perf_counter()
-            cluster_ids = assign_vectors(spark, df, centroids)
+            cluster_ids = assign_vectors(df, centroids)
             sizes = np.array([len(ids) for ids in cluster_ids], np.float64)
             add_s = time.perf_counter() - t0
 

@@ -9,12 +9,10 @@ from repro.experiments.tables import format_table
 RESULTS_DIR = os.environ.get("REPRO_RESULTS", "results")
 
 
-def write_table(name: str, rows: list[dict], header: str = "") -> str:
-    """Write ``rows`` as a plain-text table to ``results/<name>.txt``
-    (also returns the rendered text for stdout)."""
-    text = format_table(rows)
-    if header:
-        text = header.rstrip() + "\n\n" + text
+def write_table(name: str, rows: list[dict], header: str) -> str:
+    """Write ``header`` and ``rows`` as a plain-text table to
+    ``results/<name>.txt`` (also returns the rendered text for stdout)."""
+    text = header.rstrip() + "\n\n" + format_table(rows)
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}.txt")
     with open(path, "w") as f:

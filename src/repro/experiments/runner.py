@@ -117,13 +117,13 @@ class DatasetBundle:
             )
         return self._searchers[key]
 
-    def imbalanced_workload(self, frac: float, node: int = 0) -> np.ndarray:
+    def imbalanced_workload(self, frac: float) -> np.ndarray:
         """Engineered skew (paper §6.2.2: "query sets are manipulated to
         ensure different load differences on each machine").
 
         A fraction ``frac`` of the natural queries is replaced by queries
         aimed at the clusters a traditional vector partition stores on
-        ``node`` — so that node's shard absorbs ``frac`` of the probe
+        node 0 — so that node's shard absorbs ``frac`` of the probe
         load while the others idle. ``frac = 0`` is the balanced
         workload; ``frac → 1`` concentrates virtually all work on one
         node.
@@ -134,7 +134,7 @@ class DatasetBundle:
 
         sv = self.searcher("vector")
         plan, di = sv.di.plan, sv.di
-        hot_clusters = plan.clusters_of_vblock(node % plan.b_vec)
+        hot_clusters = plan.clusters_of_vblock(0)
         hot_set = set(int(c) for c in hot_clusters)
         sizes = di.cluster_sizes().astype(np.float64)
         q = self.queries.copy()

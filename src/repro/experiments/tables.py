@@ -292,8 +292,8 @@ def fig11_rows(bundle: DatasetBundle, nodes=(2, 4, 8)) -> list[dict]:
     return rows
 
 
-def format_table(rows: list[dict], floatfmt: str = "{:.2f}") -> str:
-    """Plain-text table for job stdout / EXPERIMENTS.md."""
+def format_table(rows: list[dict]) -> str:
+    """Plain-text table, floats to 2 places, for stdout / EXPERIMENTS.md."""
     if not rows:
         return "(no rows)"
     cols = list(rows[0].keys())
@@ -301,7 +301,7 @@ def format_table(rows: list[dict], floatfmt: str = "{:.2f}") -> str:
     for r in rows:
         out_rows.append(
             [
-                floatfmt.format(v) if isinstance(v, float) else str(v)
+                f"{v:.2f}" if isinstance(v, float) else str(v)
                 for v in (r.get(c, "") for c in cols)
             ]
         )

@@ -12,6 +12,7 @@ from repro.cluster.layout import distribute
 from repro.cluster.machine import MachineModel
 from repro.core.engine import HarmonyEngine
 from repro.core.partition import PartitionPlan, make_plan
+from repro.core.pruning import TopK
 from repro.core.router import dim_order
 from repro.core.searcher import HarmonyConfig, HarmonySearcher
 from repro.ivf.index import build_ivf, probe_clusters
@@ -100,6 +101,33 @@ def test_exact_ids_on_tied_distances(tied, grid):
             res = eng.search(q, k=TEST_K, nprobe=3)
             np.testing.assert_array_equal(res.ids, ref.ids)
             np.testing.assert_array_equal(res.dists, ref.dists)
+
+
+@pytest.mark.parametrize("grid", ["harmony", "vector", "dimension", "2x2"])
+def test_no_id_reaches_a_query_twice(tied, grid, monkeypatch):
+    # TopK.update does not collapse repeated ids: it relies on a search
+    # handing each vector id to a query's heap at most once, prewarm
+    # included.
+    grids, q, _ = tied
+    update = TopK.update
+    given: list[list[int]] = []
+
+    def recording(self, qi, ids, dists):
+        given[qi] += np.asarray(ids).tolist()
+        update(self, qi, ids, dists)
+
+    monkeypatch.setattr(TopK, "update", recording)
+    for schedule in ("static", "rotate", "load_aware"):
+        for n_waves in (1, 4):
+            for use_pruning in (True, False):
+                given[:] = [[] for _ in q]
+                HarmonyEngine(grids[grid], schedule=schedule, n_waves=n_waves,
+                              use_pruning=use_pruning
+                              ).search(q, k=TEST_K, nprobe=3)
+                assert all(len(ids) >= TEST_K for ids in given)
+                for qi, ids in enumerate(given):
+                    assert len(set(ids)) == len(ids), (
+                        schedule, n_waves, use_pruning, qi)
 
 
 def test_result_shape_and_order(built, ds):

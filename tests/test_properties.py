@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the pruning/partition math."""
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.partition import pack_clusters, split_dims
@@ -125,28 +125,31 @@ def test_topk_ids_independent_of_arrival_order(levels, k, n_calls, rnd):
     np.testing.assert_array_equal(got_d, want_d)
 
 
+#: Ids 5 and 9 fill a k = 2 heap at distances 1 and 2; id 7 then ties
+#: τ² = 2 and, having the smaller id, displaces id 9.
+TIE_CUT = [5, 9, 7] + [i for i in range(72) if i not in (5, 9, 7)]
+
+
 @given(
-    st.lists(
-        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)),
-                 max_size=12),
-        min_size=1, max_size=6,
-    ),
+    st.lists(st.lists(st.integers(0, 3), max_size=12), min_size=1, max_size=6),
+    st.permutations(range(72)),
     st.integers(1, 6),
 )
+@example([[1, 2], [2]], TIE_CUT, 2)
 @settings(max_examples=100)
-def test_topk_update_sequence_matches_brute_force(calls, k):
-    # Updates with tied distances and repeated ids keep the k best of the
-    # union by (dist, id), each id at its smallest distance. A full heap's
-    # pre-cut must keep ties: a tied candidate with a smaller id still
-    # displaces the k-th entry.
+def test_topk_update_sequence_matches_brute_force(calls, perm, k):
+    # Updates with tied distances, each id given once as in a search, keep
+    # the k best of the union by (dist, id). A full heap's pre-cut must
+    # keep ties: a tied candidate with a smaller id still displaces the
+    # k-th entry.
     t = TopK(1, k)
-    best: dict[int, float] = {}
+    seen: list[tuple[int, int]] = []
     for call in calls:
-        ids = np.array([i for i, _ in call], dtype=np.int64)
-        t.update(0, ids, np.array([d for _, d in call], dtype=np.float64))
-        for i, d in call:
-            best[i] = min(best.get(i, np.inf), d)
-    want = sorted((d, i) for i, d in best.items())[:k]
+        ids = perm[len(seen):len(seen) + len(call)]
+        t.update(0, np.array(ids, dtype=np.int64),
+                 np.array(call, dtype=np.float64))
+        seen += zip(call, ids)
+    want = sorted(seen)[:k]
     got_ids, got_d = t.ids, t.dists
     assert got_ids[0].tolist() == [i for _, i in want] + [-1] * (k - len(want))
     assert got_d[0][: len(want)].tolist() == [d for d, _ in want]

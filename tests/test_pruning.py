@@ -28,22 +28,6 @@ def test_update_keeps_smallest():
     np.testing.assert_array_equal(dists[0], [0.0, 1.0, 2.0])
 
 
-def test_update_dedupes_ids_keeps_min():
-    t = TopK(1, 3)
-    t.update(0, np.array([7, 7, 8]), np.array([2.0, 1.0, 3.0]))
-    ids, dists = t.ids, t.dists
-    assert list(ids[0]) == [7, 8, -1]
-    assert dists[0][0] == pytest.approx(1.0)
-
-
-def test_update_dedupes_across_calls():
-    t = TopK(1, 2)
-    t.update(0, np.array([5]), np.array([4.0]))
-    t.update(0, np.array([5]), np.array([4.0]))
-    ids = t.ids
-    assert list(ids[0]) == [5, -1]
-
-
 def test_result_sorted_and_padded():
     t = TopK(2, 4)
     t.update(0, np.array([3, 1]), np.array([0.3, 0.1]))

@@ -119,6 +119,29 @@ def test_build_runs_three_spark_jobs(spark, ds):
     assert len(sc.statusTracker().getJobIdsForGroup(group)) == 3
 
 
+def test_dimension_grid_wider_than_data_rejected_before_spark_jobs(spark, ds):
+    # Dimension mode gives each node a block of at least one dimension. An
+    # n_nodes above the data's dimensionality fails as soon as the
+    # centroids are known, before the Add job, and names n_nodes.
+    centroids = ds["ivf"].centroids
+    n_nodes = centroids.shape[1] + 1
+    sc = spark.sparkContext
+    group = f"test-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, group)
+    try:
+        with pytest.raises(ValueError, match=f"n_nodes={n_nodes} exceeds"):
+            HarmonySearcher.build(
+                spark, ds["df"],
+                HarmonyConfig(n_nodes=n_nodes, mode="dimension",
+                              nlist=len(centroids)),
+                centroids=centroids,
+            )
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) == 0
+
+
 def test_search_delegates(built, ds, baseline_ref):
     res = built["harmony"].search(ds["q"], k=TEST_K, nprobe=TEST_NPROBE)
     np.testing.assert_allclose(
