@@ -8,6 +8,9 @@ like Faiss does.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+
 import numpy as np
 
 #: Max training points — Faiss-style sampling cap (per-centroid budget).
@@ -30,8 +33,54 @@ def _kpp_init(x: np.ndarray, k: int, g: np.random.Generator) -> np.ndarray:
     return centroids
 
 
+#: OpenBLAS's thread-count setter, by build: numpy 1.x wheels, numpy 2.x
+#: wheels (scipy-openblas), and a plain system library.
+_OPENBLAS_SETTERS = (
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def loaded_openblas() -> list[tuple[ctypes.CDLL, str]]:
+    """``(library, setter name)`` for each OpenBLAS mapped into this
+    process (read from ``/proc/self/maps``); empty where none is loaded
+    or the platform has no ``/proc``."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[5].rstrip("\n")
+                     for line in maps if "openblas" in line}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        name = next((n for n in _OPENBLAS_SETTERS if hasattr(lib, n)), None)
+        if name is not None:
+            found.append((lib, name))
+    return found
+
+
+@functools.cache
+def _one_blas_thread() -> None:
+    """Set every loaded OpenBLAS to one thread, once per process."""
+    for lib, name in loaded_openblas():
+        setter = getattr(lib, name)
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
 def pairwise_sq_l2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared L2 distances, shape ``(len(a), len(b))`` (BLAS-backed)."""
+    """Squared L2 distances, shape ``(len(a), len(b))`` (BLAS-backed).
+
+    This is the one BLAS product in ``src/``. Before it, numpy's OpenBLAS
+    is set to one thread, once: a multi-threaded product leaves its helper
+    threads spinning on cores the Spark tasks need, and rounds differently
+    with the thread count, so centroids and probes would depend on the
+    host's CPU count. The setting is process-wide: from the first call on,
+    every BLAS call in the process, in the driver or a Spark worker, runs
+    on one thread."""
+    _one_blas_thread()
     a = np.ascontiguousarray(a, dtype=np.float32)
     b = np.ascontiguousarray(b, dtype=np.float32)
     d2 = (
